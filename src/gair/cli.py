@@ -4,7 +4,9 @@ heatmap emission, and the gradient audit.
 Exit codes: 0 success, 1 check failure, 2 usage, 3 data/format error,
 4 numeric divergence. Logs go to stderr; machine-readable output to files
 or stdout. A JSON config file may supply any flag's value; explicit flags
-win. GAIR_THREADS caps numpy worker threads.
+win. To cap numpy's BLAS worker threads, set OPENBLAS_NUM_THREADS (or
+OMP_NUM_THREADS, depending on the BLAS build) in the environment before
+starting the command; BLAS reads it once, when numpy loads.
 """
 
 from __future__ import annotations
@@ -38,13 +40,6 @@ _DEG = math.pi / 180.0
 
 def _log(msg: str):
     print(msg, file=sys.stderr)
-
-
-def _apply_threads_cap():
-    cap = os.environ.get("GAIR_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _load_config_file(path) -> dict:
@@ -318,7 +313,6 @@ def cmd_gradcheck(args, file_cfg) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_threads_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

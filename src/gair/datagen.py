@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, require_keys
 from .geo import GeoFootprint, GeoPoint, to_local
 
 __all__ = [
@@ -286,8 +286,11 @@ def read_dataset(path) -> tuple:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable manifest {path}: {exc}") from None
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise FormatError(f"unsupported dataset version {manifest.get('version')}")
+    require_keys(manifest, ("version",), "manifest")
+    if manifest["version"] != MANIFEST_VERSION:
+        raise FormatError(f"unsupported dataset version {manifest['version']}")
+    require_keys(manifest, ("blob", "blob_size", "rs_shape", "sv_shape", "offsets", "config"), "manifest")
+    require_keys(manifest["config"], [f.name for f in fields(DataConfig)], "manifest config")
     blob_path = os.path.join(os.path.dirname(path), manifest["blob"])
     with open(blob_path, "rb") as fh:
         blob = fh.read()

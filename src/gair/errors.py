@@ -9,3 +9,12 @@ class FormatError(Exception):
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def require_keys(obj, keys, what: str) -> None:
+    """Raise FormatError unless `obj` is a JSON object holding every key in `keys`."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise FormatError(f"{what} lacks {', '.join(missing)}")

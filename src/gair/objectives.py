@@ -4,7 +4,6 @@ location embeddings, and their weighted combination."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,41 +27,57 @@ class LossConfig:
 
 
 class MemoryBank:
-    """FIFO ring of detached unit-norm vectors from past mini-batches."""
+    """FIFO ring of detached unit-norm vectors from past mini-batches.
+
+    Rows live in a preallocated (capacity, D) float64 array, allocated on
+    the first push; `_next` is the slot the next row goes to, which is also
+    the oldest row once the ring is full.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("bank capacity must be positive")
         self.capacity = capacity
-        self._entries = deque(maxlen=capacity)
+        self._rows = None
+        self._next = 0
+        self._count = 0
 
     def __len__(self):
-        return len(self._entries)
+        return self._count
 
     def push(self, batch: np.ndarray):
         batch = np.atleast_2d(np.asarray(batch))
-        if batch.shape[0] > self.capacity:
-            raise ValueError(f"batch of {batch.shape[0]} exceeds bank capacity {self.capacity}")
+        n = batch.shape[0]
+        if n > self.capacity:
+            raise ValueError(f"batch of {n} exceeds bank capacity {self.capacity}")
         norms = np.linalg.norm(batch, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-3):
             raise ContractError("bank entries must be unit-norm")
-        for row in batch:
-            self._entries.append(row.copy())
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, batch.shape[1]))
+        self._rows[(self._next + np.arange(n)) % self.capacity] = batch
+        self._next = (self._next + n) % self.capacity
+        self._count = min(self.capacity, self._count + n)
 
     def snapshot(self) -> np.ndarray:
         """Contents oldest-first as a detached (k, D) array."""
-        if not self._entries:
+        if not self._count:
             return np.zeros((0, 0))
-        return np.stack(list(self._entries))
-
-    def state(self) -> np.ndarray:
-        return self.snapshot()
+        if self._count < self.capacity:
+            return self._rows[: self._count].copy()
+        return np.roll(self._rows, -self._next, axis=0)
 
     def load_state(self, entries: np.ndarray):
-        self._entries.clear()
-        for row in np.atleast_2d(entries):
-            if row.size:
-                self._entries.append(np.asarray(row).copy())
+        """Replace the contents with `entries` (oldest-first); only the
+        newest `capacity` rows are kept."""
+        rows = np.atleast_2d(np.asarray(entries, dtype=np.float64))
+        self._rows, self._next, self._count = None, 0, 0
+        if rows.size:
+            rows = rows[-self.capacity :]
+            self._rows = np.empty((self.capacity, rows.shape[1]))
+            self._rows[: len(rows)] = rows
+            self._count = len(rows)
+            self._next = self._count % self.capacity
 
 
 def _check_unit_rows(x: Tensor, what: str):

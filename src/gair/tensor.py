@@ -8,6 +8,7 @@ losses, and to validate every backward rule against finite differences.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -51,8 +52,10 @@ class ContractError(RuntimeError):
 # by the gradient-audit command. Never set outside tests/audits.
 _FAULT_OP = os.environ.get("GAIR_FAULT_OP", "")
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Plain Python floats: under NEP 50 a numpy float64 scalar would promote
+# float32 activations to float64.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -109,9 +112,16 @@ class Tensor:
         return Tensor(self.values.copy())
 
     def _accumulate(self, g: np.ndarray):
+        """Add `g` into `self.grad`.
+
+        The first gradient is stored without a copy, so it may alias a
+        sibling's gradient or a view of the child's. That is safe only while
+        no code writes into a gradient array in place: later accumulation,
+        gradient clipping and the optimizer all rebind `grad` instead.
+        """
         g = g.astype(self.values.dtype, copy=False)
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad = self.grad + g
 
@@ -332,6 +342,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading axes broadcast, last two contract."""
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    if b.ndim == 2:
+        return _matmul_2d_rhs(a, b)
     out_vals = np.matmul(a.values, b.values)
     a_vals, b_vals = a.values, b.values
 
@@ -342,6 +354,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = ga * 1.01
         a._accumulate(_unbroadcast(ga, a.shape))
         b._accumulate(_unbroadcast(gb, b.shape))
+
+    return Tensor._make(out_vals, (a, b), bwd)
+
+
+def _matmul_2d_rhs(a: Tensor, b: Tensor) -> Tensor:
+    """(..., K) @ (K, E) with the leading axes of `a` flattened, so the
+    forward product and both gradients are each one 2-D GEMM."""
+    a2 = a.values.reshape(-1, a.shape[-1])
+    b_vals = b.values
+    out_vals = (a2 @ b_vals).reshape(a.shape[:-1] + (b.shape[1],))
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        ga = (g2 @ b_vals.T).reshape(a.shape)
+        if _FAULT_OP == "matmul":
+            ga = ga * 1.01
+        a._accumulate(ga)
+        b._accumulate(a2.T @ g2)
 
     return Tensor._make(out_vals, (a, b), bwd)
 

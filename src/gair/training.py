@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import TripleBatch
 from .encoders import EncoderConfig, ImageEncoder, LocEncoderConfig, LocationEncoder
-from .errors import FormatError
+from .errors import FormatError, require_keys
 from .inr import FThetaParams, inr_query_batch, unfold3x3
 from .objectives import LossConfig, MemoryBank, combined_loss, incl_loss, secl_loss
 from .tensor import Tensor, backward
@@ -24,6 +24,7 @@ __all__ = ["TrainConfig", "AdamW", "Model", "lr_at", "train_step", "train", "sav
 
 CKPT_MAGIC = b"GAIRCKPT"
 CKPT_VERSION = 1
+_MODEL_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 @dataclass
@@ -245,7 +246,8 @@ def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_
 #
 # magic (8) | version <u32 | header_len <u64 | header JSON (utf-8) | raw data.
 # The header lists every array (name, dtype, shape, offset into the data
-# section, in order), the step, config, and config hash.
+# section, in order), the model dtype, the step, config, and config hash.
+# A header without a dtype holds a float32 model.
 
 
 def save_checkpoint(path, model: Model, optimizer: AdamW, bank: MemoryBank, config: TrainConfig, step: int):
@@ -269,6 +271,7 @@ def save_checkpoint(path, model: Model, optimizer: AdamW, bank: MemoryBank, conf
         offset += len(data)
     header = {
         "version": CKPT_VERSION,
+        "dtype": np.dtype(model.dtype).name,
         "step": step,
         "adam_t": optimizer.t,
         "model": model.configs(),
@@ -304,27 +307,38 @@ def load_checkpoint(path) -> dict:
         header = json.loads(raw[20:header_end])
     except json.JSONDecodeError:
         raise FormatError("corrupt checkpoint header", offset=20) from None
+    require_keys(header, ("step", "adam_t", "model", "train_config", "config_hash", "arrays"), "checkpoint header")
+    require_keys(header["model"], ("rs", "sv", "loc", "seed"), "checkpoint model config")
+    dtype = header.get("dtype", "float32")  # headers before the field held float32 models
+    if dtype not in _MODEL_DTYPES:
+        raise FormatError(f"unsupported checkpoint model dtype {dtype!r}")
     data = raw[header_end:]
     arrays = {}
     for e in header["arrays"]:
-        dtype = "<" + e["dtype"]
+        require_keys(e, ("name", "dtype", "shape", "offset"), "checkpoint array entry")
+        if e["dtype"] not in ("f4", "f8"):
+            raise FormatError(f"unsupported dtype {e['dtype']!r} in array {e['name']}")
         count = int(np.prod(e["shape"])) if e["shape"] else 1
-        end = e["offset"] + count * np.dtype(dtype).itemsize
+        end = e["offset"] + count * np.dtype(e["dtype"]).itemsize
         if end > len(data):
             raise FormatError(f"checkpoint truncated in array {e['name']}", offset=header_end + e["offset"])
-        arrays[e["name"]] = np.frombuffer(data, dtype=dtype, count=count, offset=e["offset"]).reshape(e["shape"]).copy()
+        arrays[e["name"]] = np.frombuffer(data, dtype="<" + e["dtype"], count=count, offset=e["offset"]).reshape(e["shape"]).copy()
 
-    model = Model.from_configs(header["model"])
+    model = Model.from_configs(header["model"], dtype=_MODEL_DTYPES[dtype])
     params = model.parameters()
+    names = sorted(params)
+    required = [f"{kind}/{n}" for kind in ("param", "adam_m", "adam_v") for n in names] + ["bank", "rff_B"]
+    require_keys(arrays, required, "checkpoint arrays")
     for name, p in params.items():
         p.values = arrays[f"param/{name}"].astype(p.dtype).reshape(p.shape)
     model.loc.B = arrays["rff_B"].astype(np.float64)
     config = TrainConfig(**header["train_config"])
     optimizer = AdamW(params, config)
-    optimizer.t = header["adam_t"]
-    for name in optimizer.m:
-        optimizer.m[name] = arrays[f"adam_m/{name}"].astype(np.float32).reshape(optimizer.m[name].shape)
-        optimizer.v[name] = arrays[f"adam_v/{name}"].astype(np.float32).reshape(optimizer.v[name].shape)
+    optimizer.load_state({
+        "t": header["adam_t"],
+        "m": {n: arrays[f"adam_m/{n}"] for n in names},
+        "v": {n: arrays[f"adam_v/{n}"] for n in names},
+    })
     bank = MemoryBank(config.loss.bank_capacity)
     bank_arr = arrays["bank"]
     if bank_arr.size:

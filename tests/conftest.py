@@ -5,9 +5,29 @@ them as a dedicated section of the terminal summary so a plain `pytest -v`
 run ends with an at-a-glance pass/fail table.
 """
 
+import json
+import struct
+
 import pytest
 
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def edit_checkpoint_header():
+    """Rewrite a checkpoint's JSON header in place with `edit(header)`,
+    keeping the magic, the version and the data section."""
+
+    def edit_header(path, edit):
+        raw = open(path, "rb").read()
+        version, header_len = struct.unpack_from("<IQ", raw, 8)
+        header = json.loads(raw[20 : 20 + header_len])
+        edit(header)
+        body = json.dumps(header, sort_keys=True).encode()
+        with open(path, "wb") as fh:
+            fh.write(raw[:8] + struct.pack("<IQ", version, len(body)) + body + raw[20 + header_len :])
+
+    return edit_header
 
 
 @pytest.fixture(scope="session")

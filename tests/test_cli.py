@@ -79,6 +79,12 @@ class TestPretrain:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(["pretrain", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
 
+    def test_manifest_without_schema_keys_is_data_error(self, tmp_path):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "manifest.json").write_text(json.dumps({"version": 1}))
+        assert main(["pretrain", "--data", str(ds), "--out", str(tmp_path / "o")]) == 3
+
     def test_lambda_zero_reports_zero_location_gradient(self, tmp_path, workspace):
         cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
         out = str(tmp_path / "run0")
@@ -115,6 +121,12 @@ class TestEvaluate:
         assert 0.0 <= report["metrics"]["recall@1"] <= 1.0
         assert "probe_linear_accuracy" in report and "probe_nonlinear_accuracy" in report
         assert len(report["config_hash"]) == 16
+
+    def test_checkpoint_header_without_arrays_is_data_error(self, workspace, tmp_path, edit_checkpoint_header):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(open(workspace["ckpt"], "rb").read())
+        edit_checkpoint_header(bad, lambda header: header.pop("arrays"))
+        assert main(["evaluate", "--checkpoint", str(bad), "--data", workspace["ds"]]) == 3
 
     def test_corrupt_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.bin"
@@ -175,7 +187,7 @@ class TestGradcheck:
         assert "FAIL" in proc.stdout
 
     def test_threads_cap_env(self):
-        env = dict(os.environ, GAIR_THREADS="1")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-m", "gair.cli", "gradcheck"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0

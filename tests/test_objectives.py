@@ -72,7 +72,7 @@ class TestMemoryBank:
         bank = MemoryBank(capacity=8)
         bank.push(unit_rows(np.random.default_rng(3), 5, 4))
         clone = MemoryBank(capacity=8)
-        clone.load_state(bank.state())
+        clone.load_state(bank.snapshot())
         assert np.array_equal(bank.snapshot(), clone.snapshot())
 
 

@@ -43,6 +43,23 @@ class TestMatmul:
         report = grad_check(lambda x, y: matmul(x, y).sum(), [a, b], tolerance=1e-6)
         assert report.passed
 
+    def test_flattened_rhs_matches_per_sample_reference(self):
+        rng = np.random.default_rng(3)
+        a, b = t64(rng.normal(size=(3, 4, 5))), t64(rng.normal(size=(5, 2)))
+        g = rng.normal(size=(3, 4, 2))
+        out = matmul(a, b)
+        backward((out * Tensor(g)).sum())
+        assert np.allclose(out.values, np.stack([a.values[i] @ b.values for i in range(3)]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(a.grad, np.stack([g[i] @ b.values.T for i in range(3)]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(b.grad, sum(a.values[i].T @ g[i] for i in range(3)), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 5), (5, 3)), ((2, 3, 5), (2, 5, 3)), ((5,), (5, 3))])
+    def test_leading_axes_gradients(self, a_shape, b_shape):
+        rng = np.random.default_rng(4)
+        a, b = t64(rng.normal(size=a_shape)), t64(rng.normal(size=b_shape))
+        report = grad_check(lambda x, y: (matmul(x, y) * matmul(x, y)).sum(), [a, b], tolerance=1e-6)
+        assert report.passed
+
 
 class TestElementwise:
     def test_exp_of_zeros(self):

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from gair import training
 from gair.datagen import DataConfig, generate_records, make_batch
 from gair.encoders import EncoderConfig, LocEncoderConfig
 from gair.errors import FormatError
 from gair.objectives import LossConfig, MemoryBank
-from gair.tensor import Tensor
+from gair.tensor import Tensor, backward
 from gair.training import (
     AdamW,
     Model,
     TrainConfig,
+    _clip_gradients,
     load_checkpoint,
     lr_at,
     save_checkpoint,
@@ -20,13 +22,25 @@ from gair.training import (
 )
 
 
-def tiny_model(seed=7, dim=8):
+def tiny_model(seed=7, dim=8, dtype=np.float32):
     return Model(
         EncoderConfig(channels=3, image_size=8, patch_size=4, dim=dim, depth=1, heads=2, ff_width=16),
         EncoderConfig(channels=1, image_size=8, patch_size=4, dim=dim, depth=1, heads=2, ff_width=16),
         LocEncoderConfig(freqs=16, sigma=10.0, hidden=16, dim=dim),
         seed=seed,
+        dtype=dtype,
     )
+
+
+def graph_nodes(root):
+    """Every node reachable from `root` through `_parents`, as `backward` walks them."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
 
 
 def tiny_records(count=20, seed=7):
@@ -190,6 +204,44 @@ class TestTrainStep:
                               for p in opt.params.values() if p.grad is not None))
         assert total <= 1e-6 * (1 + 1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_computes_in_model_dtype(self, dtype, monkeypatch):
+        roots, real_backward = [], training.backward
+
+        def recording_backward(root):
+            roots.append(root)
+            real_backward(root)
+
+        model = tiny_model(dtype=dtype)
+        recs = tiny_records()
+        cfg = tiny_train_config()
+        bank = MemoryBank(cfg.loss.bank_capacity)
+        opt = AdamW(model.parameters(), cfg)
+        batch = make_batch(recs, list(range(4)), np.random.default_rng(0))
+        train_step(model, batch, bank, opt, cfg, lr=1e-3)  # puts rows in the bank, so the next graph holds them
+        monkeypatch.setattr(training, "backward", recording_backward)
+        train_step(model, batch, bank, opt, cfg, lr=1e-3)
+        nodes = graph_nodes(roots[0])
+        assert len(nodes) > 100
+        assert {n.values.dtype for n in nodes} == {np.dtype(dtype)}
+        assert {n.grad.dtype for n in nodes if n.grad is not None} == {np.dtype(dtype)}
+        assert {a.dtype for a in [*opt.m.values(), *opt.v.values()]} == {np.dtype(dtype)}
+
+    def test_shared_first_gradients_are_clipped_once(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        backward((x + x).sum())
+        assert np.array_equal(x.grad, [2.0, 2.0])
+
+        a = Tensor(np.array([0.5, 1.5]), requires_grad=True)
+        b = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        c = np.array([3.0, 4.0])
+        backward(((a + b) * Tensor(c)).sum())
+        assert np.shares_memory(a.grad, b.grad)  # both parents hold the one gradient array
+        norm = _clip_gradients({"a": a, "b": b}, max_norm=1.0)
+        assert norm == pytest.approx(math.sqrt(2 * 25.0))
+        expected = c / math.sqrt(2 * 25.0)
+        assert np.allclose(a.grad, expected) and np.allclose(b.grad, expected)
+
 
 class TestTrainLoop:
     def test_loss_decreases(self):
@@ -245,6 +297,38 @@ class TestCheckpoint:
         path2 = tmp_path / "ckpt2.bin"
         save_checkpoint(path2, loaded["model"], loaded["optimizer"], loaded["bank"], loaded["config"], step=loaded["step"])
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_float64_model_round_trips(self, tmp_path):
+        cfg = tiny_train_config()
+        model, opt, bank, _ = train(tiny_model(dtype=np.float64), tiny_records(), cfg)
+        path, path2 = tmp_path / "ckpt.bin", tmp_path / "ckpt2.bin"
+        save_checkpoint(path, model, opt, bank, cfg, step=10)
+        loaded = load_checkpoint(path)
+        assert loaded["header"]["dtype"] == "float64" and loaded["model"].dtype == np.float64
+        assert all(p.dtype == np.float64 for p in loaded["model"].parameters().values())
+        assert all(m.dtype == np.float64 for m in [*loaded["optimizer"].m.values(), *loaded["optimizer"].v.values()])
+        save_checkpoint(path2, loaded["model"], loaded["optimizer"], loaded["bank"], loaded["config"], step=loaded["step"])
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_header_without_dtype_loads_float32(self, tmp_path, edit_checkpoint_header):
+        _, _, _, _, path = self.run_short(tmp_path)
+        edit_checkpoint_header(path, lambda header: header.pop("dtype"))
+        loaded = load_checkpoint(path)
+        assert loaded["model"].dtype == np.float32
+        assert all(p.dtype == np.float32 for p in loaded["model"].parameters().values())
+
+    @pytest.mark.parametrize("key", ["arrays", "model", "adam_t"])
+    def test_header_missing_key_is_format_error(self, tmp_path, edit_checkpoint_header, key):
+        _, _, _, _, path = self.run_short(tmp_path)
+        edit_checkpoint_header(path, lambda header: header.pop(key))
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
+
+    def test_missing_array_is_format_error(self, tmp_path, edit_checkpoint_header):
+        _, _, _, _, path = self.run_short(tmp_path)
+        edit_checkpoint_header(path, lambda header: header.update(arrays=[e for e in header["arrays"] if e["name"] != "bank"]))
+        with pytest.raises(FormatError, match="bank"):
+            load_checkpoint(path)
 
     def test_loaded_model_matches(self, tmp_path):
         model, opt, bank, cfg, path = self.run_short(tmp_path)
