@@ -30,8 +30,12 @@ geom = ensemble_weights(q, P)
 print("cells:", list(zip(geom.rows[0], geom.cols[0])))
 print("weights:", np.round(geom.weights[0], 4), "sum =", geom.weights[0].sum())
 
-# Step 3: decode and blend. With the passthrough decoder the whole pipeline
-# collapses to plain bilinear interpolation, which we can check directly.
+# Step 3: blend and decode. The decoder is affine, so decoding each corner
+# and blending the four outputs equals blending the four latents and decoding
+# once; the offset terms cancel because the weights average the corner
+# offsets to zero. inr_query_batch computes that closed form. With the
+# passthrough decoder the whole pipeline collapses to plain bilinear
+# interpolation, which we can check directly.
 z = inr_query_batch(FThetaParams.passthrough(D), unfolded, q, normalize=False)
 ref = bilinear_oracle(grid, q)
 print("max |inr - bilinear oracle| =", np.max(np.abs(z.values - ref)))

@@ -101,12 +101,6 @@ class ImageEncoder:
         param("proj.bias", np.zeros(c.dim))
         self.params = p
 
-    def load_params(self, named: dict):
-        """Checkpoint-load hook: overwrite parameter values in place."""
-        for name, tensor in self.params.items():
-            if name in named:
-                tensor.values = np.asarray(named[name], dtype=tensor.dtype).reshape(tensor.shape)
-
     def patchify(self, images: np.ndarray) -> np.ndarray:
         """(N, C, H, W) -> (N, tokens, C*p*p); token order is raster over the
         patch grid with row 0 the northernmost patch row."""

@@ -207,8 +207,9 @@ def heatmap_inr(sv_emb: np.ndarray, ftheta, unfolded, footprint: GeoFootprint, r
     u_g, v_g = np.meshgrid(us, vs)
     queries = np.stack([u_g.reshape(-1), v_g.reshape(-1)], axis=1)
     n = len(queries)
-    rep = Tensor(np.repeat(unfolded.values, n, axis=0))
-    emb = inr_query_batch(ftheta, rep, queries).values
+    # A zero-copy view: every query reads the same map.
+    shared = Tensor(np.broadcast_to(unfolded.values, (n,) + unfolded.shape[1:]))
+    emb = inr_query_batch(ftheta, shared, queries).values
     sims = emb @ np.asarray(sv_emb)
     return HeatmapGrid(origin=GeoPoint(lons[0], lats[0]), resolution=resolution, values=sims.reshape(rows, cols))
 

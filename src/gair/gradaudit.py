@@ -31,6 +31,7 @@ def audit_cases(seed: int = 0):
     cases = []
 
     cases.append(("matmul", lambda a, b: matmul(a, b).sum(), [_t(rng, 4, 5), _t(rng, 5, 3)]))
+    cases.append(("matmul_vector_rhs", lambda a, b: (matmul(a, b) * matmul(a, b)).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
     cases.append(("add", lambda a, b: (a + b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
     cases.append(("sub", lambda a, b: (a - b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
     cases.append(("mul", lambda a, b: (a * b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
@@ -60,6 +61,17 @@ def audit_cases(seed: int = 0):
         return (picked * picked).sum()
 
     cases.append(("gather_cells", gather_loss, [_t(rng, 3, 2, 2, 4)]))
+
+    # Four cells per sample, with a repeated cell so np.add.at must sum.
+    corner_rows = np.array([[0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 0, 1]])
+    corner_cols = np.array([[0, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 1]])
+
+    def gather_corners_loss(a):
+        picked = gather_cells(a, corner_rows, corner_cols)
+        return (picked * picked.exp()).sum()
+
+    cases.append(("gather_cells_corners", gather_corners_loss, [_t(rng, 3, 2, 2, 4)]))
+    cases.append(("unfold3x3", lambda a: (inr.unfold3x3(a) * inr.unfold3x3(a).sin()).sum(), [_t(rng, 2, 3, 3, 2)]))
 
     d = 3
     ftheta = inr.FThetaParams(weight=_t(rng, 9 * d + 2, d), bias=_t(rng, d))

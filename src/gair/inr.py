@@ -5,6 +5,13 @@ A query inside a footprint lands inside a cell of the patch-center hull;
 the four surrounding patch latents each produce a decoder prediction,
 blended with bilinear area weights so the result is continuous across
 cell boundaries.
+
+The decoder is affine, f_theta(z, delta) = z W_z + delta W_delta + b, so the
+ensemble has a closed form: sum_k w_k f_theta(z_k, delta_k) =
+(sum_k w_k z_k) W_z + b. It is exact because the bilinear weights sum to 1
+and reproduce linear functions, so sum_k w_k delta_k = 0 (clamped queries
+are moved onto the hull first). `inr_query_batch` computes it with one
+gather, one blend and one matmul; `f_theta` stays as the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +40,13 @@ _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1
 
 @dataclass
 class FThetaParams:
-    """Single affine layer over concat(latent, offset): W [9D+2, D], b [D]."""
+    """Single affine layer over concat(latent, offset): W [9D+2, D], b [D].
+
+    The last two rows of W, which weight the offset, are inert in the
+    local ensemble: its closed form never reads them, so training gives
+    them exactly zero gradient. They are kept so that `f_theta` and the
+    checkpoint layout stay as they are.
+    """
 
     weight: Tensor
     bias: Tensor
@@ -61,44 +74,24 @@ class FThetaParams:
 def unfold3x3(fm: Tensor) -> Tensor:
     """Concatenate each cell's 3x3 neighborhood along channels.
 
-    fm has shape (..., P, P, D); output (..., P, P, 9D). Out-of-grid
-    neighbors contribute zero blocks.
+    fm has shape (..., H, W, D); output (..., H, W, 9D). Out-of-grid
+    neighbors contribute zero blocks. One graph node: the map is padded
+    once and the nine shifted windows are concatenated; the backward pass
+    adds the nine gradient blocks into a padded buffer and crops it.
     """
-    P = fm.shape[-2]
-    pieces = []
-    for di, dj in _NEIGHBOR_OFFSETS:
-        shifted = _shift(fm, di, dj, P)
-        pieces.append(shifted)
-    return concat(pieces, axis=-1)
+    H, W, D = fm.shape[-3:]
+    lead = [(0, 0)] * (fm.ndim - 3)
+    padded = np.pad(fm.values, lead + [(1, 1), (1, 1), (0, 0)])
+    windows = [(slice(1 + di, 1 + di + H), slice(1 + dj, 1 + dj + W)) for di, dj in _NEIGHBOR_OFFSETS]
+    out_vals = np.concatenate([padded[..., r, c, :] for r, c in windows], axis=-1)
 
+    def bwd(g):
+        full = np.zeros(padded.shape, dtype=padded.dtype)
+        for n, (r, c) in enumerate(windows):
+            full[..., r, c, :] += g[..., n * D : (n + 1) * D]
+        fm._accumulate(full[..., 1:-1, 1:-1, :])
 
-def _shift(fm: Tensor, di: int, dj: int, P: int) -> Tensor:
-    """fm shifted so cell (a,b) holds the neighbor at (a+di, b+dj), zero-padded."""
-    zeros_like = lambda shape: Tensor(np.zeros(shape, dtype=fm.dtype))
-    lead = fm.shape[:-3]
-    D = fm.shape[-1]
-
-    row_lo, row_hi = max(di, 0), P + min(di, 0)
-    core = fm[..., row_lo:row_hi, :, :]
-    pad_shape_top = lead + (max(-di, 0), P, D)
-    pad_shape_bot = lead + (max(di, 0), P, D)
-    if di < 0:
-        rows = [zeros_like(pad_shape_top), core]
-    elif di > 0:
-        rows = [core, zeros_like(pad_shape_bot)]
-    else:
-        rows = [core]
-    out = rows[0] if len(rows) == 1 else concat(rows, axis=-3)
-
-    col_lo, col_hi = max(dj, 0), P + min(dj, 0)
-    core = out[..., :, col_lo:col_hi, :]
-    if dj < 0:
-        out = concat([zeros_like(lead + (P, -dj, D)), core], axis=-2)
-    elif dj > 0:
-        out = concat([core, zeros_like(lead + (P, dj, D))], axis=-2)
-    else:
-        out = core
-    return out
+    return Tensor._make(out_vals, (fm,), bwd)
 
 
 @dataclass
@@ -168,19 +161,15 @@ def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray,
 
     unfolded: (N, P, P, 9D); queries: (N, 2) local coordinates. Returns
     (N, D), L2-normalized unless normalize=False; differentiable back to
-    the feature map and the decoder parameters.
+    the feature map and the decoder parameters. The ensemble is computed
+    in closed form (see the module docstring).
     """
     P = unfolded.shape[1]
     geom = ensemble_weights(queries, P)
     dtype = unfolded.dtype
-    out = None
-    for k in range(4):
-        z_k = gather_cells(unfolded, geom.rows[:, k], geom.cols[:, k])
-        delta = Tensor(geom.deltas[:, k, :].astype(dtype))
-        pred = f_theta(params, z_k, delta)
-        w = Tensor(geom.weights[:, k : k + 1].astype(dtype))
-        term = pred * w
-        out = term if out is None else out + term
+    corners = gather_cells(unfolded, geom.rows, geom.cols)  # (N, 4, 9D)
+    blended = (corners * Tensor(geom.weights[:, :, None].astype(dtype))).sum(axis=1)
+    out = matmul(blended, params.weight[: unfolded.shape[-1]]) + params.bias
     return l2_normalize_rows(out) if normalize else out
 
 

@@ -8,6 +8,7 @@ losses, and to validate every backward rule against finite differences.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass
@@ -51,6 +52,30 @@ class ContractError(RuntimeError):
 # Name of a deliberately corrupted backward rule, used as a negative control
 # by the gradient-audit command. Never set outside tests/audits.
 _FAULT_OP = os.environ.get("GAIR_FAULT_OP", "")
+
+def _keep_freed_heap():
+    """Stop glibc from handing each freed graph back to the OS.
+
+    A forward pass keeps its whole graph alive and frees it at once: about
+    90 MB for a batch of 64 at the acceptance size. By default glibc returns
+    a free heap top larger than at most 64 MB to the OS, so whether the next
+    batch page-faults all of that memory in again depends on where a few
+    surviving arrays happen to land. With fixed thresholds the freed memory
+    is reused by every batch. MALLOC_* variables set by the user take
+    precedence; C libraries without mallopt are left alone.
+    """
+    if any(k.startswith("MALLOC_") for k in os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)  # glibc's own ceiling for the dynamic threshold
+    mallopt(m_trim_threshold, 128 << 20)
+
+
+_keep_freed_heap()
 
 # Plain Python floats: under NEP 50 a numpy float64 scalar would promote
 # float32 activations to float64.
@@ -345,15 +370,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.ndim == 2:
         return _matmul_2d_rhs(a, b)
     out_vals = np.matmul(a.values, b.values)
-    a_vals, b_vals = a.values, b.values
+    # A 1-D operand is a row (left) or a column (right) vector, as in np.matmul.
+    a_vals = a.values[None, :] if a.ndim == 1 else a.values
+    b_vals = b.values[:, None] if b.ndim == 1 else b.values
 
     def bwd(g):
+        if b.ndim == 1:
+            g = g[..., None]
+        if a.ndim == 1:
+            g = np.expand_dims(g, -2)
         ga = np.matmul(g, np.swapaxes(b_vals, -1, -2))
         gb = np.matmul(np.swapaxes(a_vals, -1, -2), g)
         if _FAULT_OP == "matmul":
             ga = ga * 1.01
-        a._accumulate(_unbroadcast(ga, a.shape))
-        b._accumulate(_unbroadcast(gb, b.shape))
+        a._accumulate(_unbroadcast(ga, a_vals.shape).reshape(a.shape))
+        b._accumulate(_unbroadcast(gb, b_vals.shape).reshape(b.shape))
 
     return Tensor._make(out_vals, (a, b), bwd)
 
@@ -438,11 +469,15 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def gather_cells(grid: Tensor, rows, cols) -> Tensor:
-    """Pick cell vectors grid[i, rows[i], cols[i], :] for each batch index i."""
+    """Pick cell vectors grid[i, rows[i], cols[i], :] for each batch index i.
+
+    rows and cols have shape (n,) or (n, k); the result is (n, C) or
+    (n, k, C), with k cells picked from sample i's grid.
+    """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     n = grid.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(n).reshape((n,) + (1,) * (rows.ndim - 1))
     out_vals = grid.values[idx, rows, cols, :]
     shape, dtype = grid.shape, grid.values.dtype
 

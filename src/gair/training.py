@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -205,8 +206,6 @@ def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_
     Epoch shuffling and augmentation draw from counter-based streams keyed
     by (seed, epoch), so a resumed run replays the identical batches.
     """
-    import os
-
     bank = bank or MemoryBank(config.loss.bank_capacity)
     optimizer = optimizer or AdamW(model.parameters(), config)
     from .datagen import make_batch
@@ -275,22 +274,25 @@ def save_checkpoint(path, model: Model, optimizer: AdamW, bank: MemoryBank, conf
         "step": step,
         "adam_t": optimizer.t,
         "model": model.configs(),
-        "train_config": _config_dict(config),
-        "config_hash": config_hash({**model.configs(), **_config_dict(config)}),
+        "train_config": asdict(config),
+        "config_hash": config_hash({**model.configs(), **asdict(config)}),
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IQ", CKPT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for b in blobs:
-            fh.write(b)
-
-
-def _config_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    return d
+    # Write beside the target, then rename over it: a failed write never
+    # leaves a partial checkpoint at `path`.
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<IQ", CKPT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for b in blobs:
+                fh.write(b)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict:
@@ -324,7 +326,11 @@ def load_checkpoint(path) -> dict:
             raise FormatError(f"checkpoint truncated in array {e['name']}", offset=header_end + e["offset"])
         arrays[e["name"]] = np.frombuffer(data, dtype="<" + e["dtype"], count=count, offset=e["offset"]).reshape(e["shape"]).copy()
 
-    model = Model.from_configs(header["model"], dtype=_MODEL_DTYPES[dtype])
+    try:
+        model = Model.from_configs(header["model"], dtype=_MODEL_DTYPES[dtype])
+        config = TrainConfig(**header["train_config"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed config in checkpoint header: {exc}") from None
     params = model.parameters()
     names = sorted(params)
     required = [f"{kind}/{n}" for kind in ("param", "adam_m", "adam_v") for n in names] + ["bank", "rff_B"]
@@ -332,7 +338,6 @@ def load_checkpoint(path) -> dict:
     for name, p in params.items():
         p.values = arrays[f"param/{name}"].astype(p.dtype).reshape(p.shape)
     model.loc.B = arrays["rff_B"].astype(np.float64)
-    config = TrainConfig(**header["train_config"])
     optimizer = AdamW(params, config)
     optimizer.load_state({
         "t": header["adam_t"],

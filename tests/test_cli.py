@@ -128,6 +128,12 @@ class TestEvaluate:
         edit_checkpoint_header(bad, lambda header: header.pop("arrays"))
         assert main(["evaluate", "--checkpoint", str(bad), "--data", workspace["ds"]]) == 3
 
+    def test_unknown_train_config_key_is_data_error(self, workspace, tmp_path, edit_checkpoint_header):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(open(workspace["ckpt"], "rb").read())
+        edit_checkpoint_header(bad, lambda header: header["train_config"].update(bogus=1))
+        assert main(["evaluate", "--checkpoint", str(bad), "--data", workspace["ds"]]) == 3
+
     def test_corrupt_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.bin"
         data = bytearray(open(workspace["ckpt"], "rb").read())

@@ -15,8 +15,8 @@ from gair.evalkit import (
     write_heatmap_csv,
     write_heatmap_pgm,
 )
-from gair.geo import GeoFootprint, GeoPoint
-from gair.inr import FThetaParams, unfold3x3
+from gair.geo import GeoFootprint, GeoPoint, to_local
+from gair.inr import FThetaParams, inr_query_batch, unfold3x3
 from gair.tensor import Tensor
 
 
@@ -235,6 +235,22 @@ class TestHeatmaps:
         grid = heatmap_inr(c, FThetaParams.passthrough(d), um, fp, resolution=0.0002)
         assert np.allclose(grid.values, 1.0, atol=1e-12)
         assert np.all(np.abs(grid.values) <= 1.0 + 1e-12)
+
+    def test_heatmap_inr_matches_per_query_lookup(self):
+        rng = np.random.default_rng(1)
+        d = 6
+        um = unfold3x3(Tensor(rng.normal(size=(1, 4, 4, d)).astype(np.float32)))
+        ftheta = FThetaParams.init(d, rng, dtype=np.float32)
+        sv = unit_rows(rng, 1, d)[0]
+        fp = GeoFootprint(0.1, 0.104, 0.2, 0.204)
+        grid = heatmap_inr(sv, ftheta, um, fp, resolution=0.0005)
+        rows, cols = grid.values.shape
+        assert rows * cols > 30
+        for row in range(rows):
+            for col in range(cols):
+                q = to_local(fp, grid.cell_center(row, col))
+                emb = inr_query_batch(ftheta, um, np.array([[q.u, q.v]])).values[0]
+                assert abs(float(emb @ sv) - grid.values[row, col]) < 1e-5
 
     def test_heatmap_inr_peak_at_matching_cell(self):
         rng = np.random.default_rng(0)

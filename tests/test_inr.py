@@ -11,7 +11,7 @@ from gair.inr import (
     inr_query_batch,
     unfold3x3,
 )
-from gair.tensor import Tensor, grad_check
+from gair.tensor import Tensor, backward, grad_check
 
 
 def t64(arr):
@@ -219,6 +219,47 @@ class TestInrQuery:
         out = inr_query(FThetaParams.passthrough(d), um3, (0.1, -0.2), normalize=False)
         oracle = bilinear_oracle(grid, np.array([[0.1, -0.2]]))[0]
         assert np.allclose(out.values, oracle, atol=1e-10)
+
+
+def four_term_ensemble(params, unfolded, queries):
+    """Reference: sum_k w_k f_theta(z_k, delta_k), each corner decoded on its own."""
+    geom = ensemble_weights(queries, unfolded.shape[1])
+    dtype = unfolded.dtype
+    n = np.arange(len(queries))
+    out = 0.0
+    for k in range(4):
+        z_k = Tensor(unfolded.values[n, geom.rows[:, k], geom.cols[:, k]])
+        pred = f_theta(params, z_k, Tensor(geom.deltas[:, k].astype(dtype))).values
+        out = out + pred * geom.weights[:, k : k + 1].astype(dtype)
+    return out
+
+
+class TestClosedFormEnsemble:
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_four_term_reference(self, dtype, atol):
+        rng = np.random.default_rng(13)
+        P, d, n = 5, 6, 400
+        fm = Tensor(rng.normal(size=(n, P, P, d)).astype(dtype))
+        params = FThetaParams.init(d, rng, dtype=dtype)
+        params.bias = Tensor(rng.normal(size=d).astype(dtype))
+        # the offset rows are live in the reference, so the test sees them
+        params.weight.values[-2:] = rng.normal(0, 1, size=(2, d)).astype(dtype)
+        queries = rng.uniform(-1, 1, size=(n, 2))  # about a third lie in the clamped margin
+        assert ensemble_weights(queries, P).clamped.sum() > n // 5
+        unfolded = unfold3x3(fm)
+        out = inr_query_batch(params, unfolded, queries, normalize=False)
+        assert out.dtype == dtype
+        assert np.max(np.abs(out.values - four_term_ensemble(params, unfolded, queries))) < atol
+
+    def test_offset_rows_get_exactly_zero_gradient(self):
+        rng = np.random.default_rng(14)
+        d = 4
+        params = FThetaParams.init(d, rng, dtype=np.float64)
+        fm = Tensor(rng.normal(size=(3, 4, 4, d)), requires_grad=True)
+        out = inr_query_batch(params, unfold3x3(fm), rng.uniform(-1, 1, size=(3, 2)))
+        backward((out * Tensor(rng.normal(size=out.shape))).sum())
+        assert np.all(params.weight.grad[-2:] == 0.0)
+        assert np.all(np.abs(params.weight.grad[:-2]).sum(axis=1) > 0.0)
 
 
 def _nearest_cell_only(params, um_grid, q):

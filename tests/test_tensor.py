@@ -9,6 +9,7 @@ from gair.tensor import (
     Tensor,
     backward,
     concat,
+    gather_cells,
     grad_check,
     l2_normalize_rows,
     log_softmax_rows,
@@ -53,12 +54,36 @@ class TestMatmul:
         assert np.allclose(a.grad, np.stack([g[i] @ b.values.T for i in range(3)]), rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, sum(a.values[i].T @ g[i] for i in range(3)), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 5), (5, 3)), ((2, 3, 5), (2, 5, 3)), ((5,), (5, 3))])
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 5), (5, 3)), ((2, 3, 5), (2, 5, 3)), ((5,), (5, 3)),
+                                                 ((3, 5), (5,)), ((2, 3, 5), (5,)), ((5,), (5,)), ((5,), (2, 5, 3))])
     def test_leading_axes_gradients(self, a_shape, b_shape):
         rng = np.random.default_rng(4)
         a, b = t64(rng.normal(size=a_shape)), t64(rng.normal(size=b_shape))
         report = grad_check(lambda x, y: (matmul(x, y) * matmul(x, y)).sum(), [a, b], tolerance=1e-6)
         assert report.passed
+
+
+class TestGatherCells:
+    def test_corner_indices_pick_per_sample_cells(self):
+        rng = np.random.default_rng(6)
+        grid = t64(rng.normal(size=(3, 4, 4, 2)))
+        rows = rng.integers(0, 4, size=(3, 4))
+        cols = rng.integers(0, 4, size=(3, 4))
+        out = gather_cells(grid, rows, cols)
+        assert out.shape == (3, 4, 2)
+        for i in range(3):
+            for k in range(4):
+                assert np.array_equal(out.values[i, k], grid.values[i, rows[i, k], cols[i, k]])
+        assert np.array_equal(gather_cells(grid, rows[:, 1], cols[:, 1]).values, out.values[:, 1])
+
+    def test_repeated_cells_accumulate_gradient(self):
+        grid = t64(np.zeros((2, 2, 2, 3)))
+        rows = np.array([[0, 0, 1, 1], [1, 1, 1, 1]])
+        cols = np.array([[0, 0, 1, 0], [1, 1, 1, 1]])
+        backward(gather_cells(grid, rows, cols).sum())
+        expected = np.zeros((2, 2, 2, 3))
+        expected[0, 0, 0], expected[0, 1, 1], expected[0, 1, 0], expected[1, 1, 1] = 2.0, 1.0, 1.0, 4.0
+        assert np.array_equal(grid.grad, expected)
 
 
 class TestElementwise:

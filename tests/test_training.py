@@ -372,3 +372,55 @@ class TestCheckpoint:
         h1 = load_checkpoint(path)["header"]["config_hash"]
         h2 = load_checkpoint(path)["header"]["config_hash"]
         assert h1 == h2 and len(h1) == 16
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["train_config"].update(bogus=1),
+        lambda h: h["train_config"].update(batch_size="64"),
+        lambda h: h["train_config"]["loss"].update(tau="hot"),
+        lambda h: h["model"]["rs"].update(bogus=1),
+        lambda h: h["model"]["loc"].update(dim="wide"),
+        lambda h: h["model"].update(sv=[1, 2]),
+    ], ids=["unknown-train-key", "typed-train-key", "typed-loss-key", "unknown-rs-key", "typed-loc-key", "sv-not-object"])
+    def test_malformed_config_is_format_error(self, tmp_path, edit_checkpoint_header, edit):
+        _, _, _, _, path = self.run_short(tmp_path)
+        edit_checkpoint_header(path, edit)
+        with pytest.raises(FormatError, match="malformed config"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+        model, opt, bank, cfg, path = self.run_short(tmp_path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the first chunk, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        real_open = open
+        monkeypatch.setattr(training, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, model, opt, bank, cfg, step=11)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
+    def test_save_replaces_existing_checkpoint(self, tmp_path):
+        model, opt, bank, cfg, path = self.run_short(tmp_path)
+        fresh = tmp_path / "fresh.bin"
+        save_checkpoint(fresh, model, opt, bank, cfg, step=12)
+        save_checkpoint(path, model, opt, bank, cfg, step=12)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "fresh.bin"]
