@@ -42,6 +42,11 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _usage_error(msg: str) -> int:
+    _log(f"error: {msg}")
+    return EXIT_USAGE
+
+
 def _load_config_file(path) -> dict:
     if not path:
         return {}
@@ -125,16 +130,17 @@ def _dataset_config(args, file_cfg) -> DataConfig:
 
 
 def cmd_gen_data(args, file_cfg) -> int:
-    cfg = _dataset_config(args, file_cfg)
+    try:
+        cfg = _dataset_config(args, file_cfg)
+    except (TypeError, ValueError) as exc:
+        return _usage_error(f"bad dataset config: {exc}")
     if cfg.count <= 0:
-        _log("error: --count must be positive")
-        return EXIT_USAGE
+        return _usage_error("--count must be positive")
     try:
         records = generate_records(cfg)
         manifest_path = write_dataset(records, args.out, cfg)
     except OSError as exc:
-        _log(f"error: cannot write dataset: {exc}")
-        return EXIT_USAGE
+        return _usage_error(f"cannot write dataset: {exc}")
     region = cfg.region()
     _log(f"wrote {len(records)} records to {manifest_path}")
     print(json.dumps({
@@ -147,23 +153,26 @@ def cmd_gen_data(args, file_cfg) -> int:
 
 
 def _train_config(args, file_cfg) -> TrainConfig:
-    cfg = TrainConfig()
-    cfg.batch_size = int(_merged(args, file_cfg, "batch_size", cfg.batch_size))
-    cfg.epochs = int(_merged(args, file_cfg, "epochs", cfg.epochs))
-    cfg.base_lr = float(_merged(args, file_cfg, "lr", cfg.base_lr))
-    cfg.beta1 = float(_merged(args, file_cfg, "beta1", cfg.beta1))
-    cfg.beta2 = float(_merged(args, file_cfg, "beta2", cfg.beta2))
-    cfg.weight_decay = float(_merged(args, file_cfg, "weight_decay", cfg.weight_decay))
-    cfg.warmup_fraction = float(_merged(args, file_cfg, "warmup", cfg.warmup_fraction))
-    cfg.schedule = _merged(args, file_cfg, "schedule", cfg.schedule)
-    cfg.seed = int(_merged(args, file_cfg, "seed", cfg.seed))
-    cfg.eval_every = int(_merged(args, file_cfg, "eval_every", cfg.eval_every))
-    cfg.loss = LossConfig(
-        tau=float(_merged(args, file_cfg, "tau", 0.07)),
-        lambda_secl=float(_merged(args, file_cfg, "lambda_secl", 1.0)),
-        bank_capacity=int(_merged(args, file_cfg, "bank_capacity", 4096)),
+    """Flag > config file > dataclass default. Raises TypeError or ValueError
+    for a value that does not convert or that the constructors reject."""
+    d = TrainConfig()
+    return TrainConfig(
+        batch_size=int(_merged(args, file_cfg, "batch_size", d.batch_size)),
+        epochs=int(_merged(args, file_cfg, "epochs", d.epochs)),
+        base_lr=float(_merged(args, file_cfg, "lr", d.base_lr)),
+        beta1=float(_merged(args, file_cfg, "beta1", d.beta1)),
+        beta2=float(_merged(args, file_cfg, "beta2", d.beta2)),
+        weight_decay=float(_merged(args, file_cfg, "weight_decay", d.weight_decay)),
+        warmup_fraction=float(_merged(args, file_cfg, "warmup", d.warmup_fraction)),
+        schedule=_merged(args, file_cfg, "schedule", d.schedule),
+        seed=int(_merged(args, file_cfg, "seed", d.seed)),
+        eval_every=int(_merged(args, file_cfg, "eval_every", d.eval_every)),
+        loss=LossConfig(
+            tau=float(_merged(args, file_cfg, "tau", d.loss.tau)),
+            lambda_secl=float(_merged(args, file_cfg, "lambda_secl", d.loss.lambda_secl)),
+            bank_capacity=int(_merged(args, file_cfg, "bank_capacity", d.loss.bank_capacity)),
+        ),
     )
-    return cfg
 
 
 def build_model(data_cfg: dict, seed: int, dim: int = 64, rff_sigma: float = 1000.0, rff_sigma_min: float = 0.0) -> Model:
@@ -179,7 +188,10 @@ def cmd_pretrain(args, file_cfg) -> int:
     except (FormatError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
-    cfg = _train_config(args, file_cfg)
+    try:
+        cfg = _train_config(args, file_cfg)
+    except (TypeError, ValueError) as exc:
+        return _usage_error(f"bad training config: {exc}")
     os.makedirs(args.out, exist_ok=True)
 
     if args.resume:
@@ -203,15 +215,11 @@ def cmd_pretrain(args, file_cfg) -> int:
     with open(os.path.join(args.out, "run_config.json"), "w", encoding="utf-8") as fh:
         json.dump(run_cfg, fh, indent=1, sort_keys=True)
     mode = "a" if args.resume else "w"
-    try:
-        with open(metrics_path, mode, encoding="utf-8") as fh:
-            model, optimizer, bank, _ = train(
-                model, records, cfg, bank=bank, optimizer=optimizer,
-                start_step=start, metrics_fh=fh, checkpoint_dir=args.out,
-            )
-    except ArithmeticError as exc:
-        _log(f"error: numeric divergence: {exc}")
-        return EXIT_NUMERIC
+    with open(metrics_path, mode, encoding="utf-8") as fh:
+        model, optimizer, bank, _ = train(
+            model, records, cfg, bank=bank, optimizer=optimizer,
+            start_step=start, metrics_fh=fh, checkpoint_dir=args.out,
+        )
     final = os.path.join(args.out, "checkpoint.bin")
     total_steps = (len(records) // cfg.batch_size) * cfg.epochs
     save_checkpoint(final, model, optimizer, bank, cfg, total_steps)
@@ -235,6 +243,8 @@ def _holdout_embeddings(model: Model, records, holdout: int, batch: int = 64):
 
 
 def cmd_evaluate(args, file_cfg) -> int:
+    if args.holdout < 1:
+        return _usage_error("--holdout must be positive")
     try:
         state = load_checkpoint(args.checkpoint)
         records, manifest = read_dataset(args.data)
@@ -264,6 +274,8 @@ def cmd_evaluate(args, file_cfg) -> int:
 
 
 def cmd_heatmap(args, file_cfg) -> int:
+    if args.resolution <= 0 or args.cells < 1:
+        return _usage_error("--resolution and --cells must be positive")
     try:
         state = load_checkpoint(args.checkpoint)
         records, _ = read_dataset(args.data)
@@ -271,8 +283,7 @@ def cmd_heatmap(args, file_cfg) -> int:
         _log(f"error: {exc}")
         return EXIT_DATA
     if not 0 <= args.index < len(records):
-        _log(f"error: sample index {args.index} out of range (dataset has {len(records)})")
-        return EXIT_USAGE
+        return _usage_error(f"sample index {args.index} out of range (dataset has {len(records)})")
     model = state["model"]
     r = records[args.index]
     rng = np.random.default_rng(0)
@@ -321,8 +332,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = _load_config_file(args.config)
     except FormatError as exc:
-        _log(f"error: {exc}")
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     handlers = {
         "gen-data": cmd_gen_data,
         "pretrain": cmd_pretrain,
@@ -335,6 +345,9 @@ def main(argv=None) -> int:
     except FormatError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
+    except ArithmeticError as exc:
+        _log(f"error: numeric divergence: {exc}")
+        return EXIT_NUMERIC
 
 
 def main_exit():

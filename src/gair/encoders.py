@@ -78,7 +78,7 @@ class ImageEncoder:
         p = {}
 
         def param(name, arr):
-            p[f"{prefix}.{name}"] = Tensor(arr.astype(dtype), requires_grad=True, name=f"{prefix}.{name}")
+            p[f"{prefix}.{name}"] = Tensor(arr.astype(dtype), requires_grad=True)
 
         patch_dim = c.channels * c.patch_size * c.patch_size
         param("patch.weight", rng.normal(0, 1 / math.sqrt(patch_dim), (patch_dim, c.dim)))
@@ -184,7 +184,7 @@ class LocationEncoder:
         p = {}
 
         def param(name, arr):
-            p[f"{prefix}.{name}"] = Tensor(arr.astype(dtype), requires_grad=True, name=f"{prefix}.{name}")
+            p[f"{prefix}.{name}"] = Tensor(arr.astype(dtype), requires_grad=True)
 
         fan_in = 2 * config.freqs
         param("mlp.w1", rng.normal(0, 1 / math.sqrt(fan_in), (fan_in, config.hidden)))

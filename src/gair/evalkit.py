@@ -13,6 +13,7 @@ import numpy as np
 from .geo import GeoFootprint, GeoPoint
 from .inr import inr_query_batch
 from .tensor import Tensor, backward, log_softmax_rows, matmul
+from .training import AdamW, TrainConfig
 
 __all__ = [
     "retrieval_metrics",
@@ -34,11 +35,12 @@ def retrieval_metrics(queries: np.ndarray, candidates: np.ndarray, truth: np.nda
     if candidates.shape[0] == 0:
         raise ValueError("empty candidate set")
     sims = queries @ candidates.T
-    # stable argsort of -sims gives descending order with lower-index ties first
-    order = np.argsort(-sims, axis=1, kind="stable")
-    ranks = np.empty(len(queries), dtype=int)
-    for i, t in enumerate(truth):
-        ranks[i] = int(np.where(order[i] == t)[0][0]) + 1
+    truth = np.asarray(truth)
+    true_sims = sims[np.arange(len(queries)), truth][:, None]
+    # 1 + the candidates ranked above the true one: more similar, or equally
+    # similar at a lower index (the order a stable descending sort gives).
+    lower = np.arange(sims.shape[1]) < truth[:, None]
+    ranks = 1 + np.count_nonzero(sims > true_sims, axis=1) + np.count_nonzero((sims == true_sims) & lower, axis=1)
     out = {f"recall@{k}": float(np.mean(ranks <= k)) for k in ks}
     out["median_rank"] = float(np.median(ranks))
     return out
@@ -94,18 +96,12 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
     n_val = max(1, int(n * val_fraction))
     x_tr, x_va = embeddings[: n - n_val], embeddings[n - n_val :]
     y_tr, y_va = labels[: n - n_val], labels[n - n_val :]
-    d_in = embeddings.shape[1]
-    if task == "classification":
-        classes = int(np.max(labels)) + 1
-        d_out = classes
-    else:
-        d_out = 1
-    head = ProbeHead.init(kind, d_in, d_out, rng, hidden=hidden)
+    d_out = int(np.max(labels)) + 1 if task == "classification" else 1
+    head = ProbeHead.init(kind, embeddings.shape[1], d_out, rng, hidden=hidden)
 
-    # Plain Adam over the probe parameters; the backbone is untouched.
-    m = {k: np.zeros_like(p.values) for k, p in head.params.items()}
-    v = {k: np.zeros_like(p.values) for k, p in head.params.items()}
-    t = 0
+    # Plain Adam (AdamW without decay) over the probe parameters; the
+    # backbone is untouched.
+    optimizer = AdamW(head.params, TrainConfig(weight_decay=0.0))
     for epoch in range(epochs):
         perm = rng.permutation(len(x_tr))
         for s in range(0, len(x_tr), batch_size):
@@ -113,21 +109,13 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
             xb = Tensor(x_tr[idx].astype(np.float64))
             logits = head.logits(xb)
             if task == "classification":
-                mask = np.zeros((len(idx), d_out))
-                mask[np.arange(len(idx)), y_tr[idx].astype(int)] = 1.0
-                loss = -(log_softmax_rows(logits) * Tensor(mask)).sum().scale(1.0 / len(idx))
+                loss = -log_softmax_rows(logits)[np.arange(len(idx)), y_tr[idx].astype(int)].mean()
             else:
                 diff = logits.reshape(len(idx)) - Tensor(y_tr[idx].astype(np.float64))
                 loss = (diff * diff).mean()
-            for p in head.params.values():
-                p.zero_grad()
+            optimizer.zero_grad()
             backward(loss)
-            t += 1
-            for k, p in head.params.items():
-                g = p.grad if p.grad is not None else np.zeros_like(p.values)
-                m[k] = 0.9 * m[k] + 0.1 * g
-                v[k] = 0.999 * v[k] + 0.001 * g * g
-                p.values = p.values - lr * (m[k] / (1 - 0.9**t)) / (np.sqrt(v[k] / (1 - 0.999**t)) + 1e-8)
+            optimizer.step(lr)
 
     pred = head.predict(x_va)
     if task == "classification":

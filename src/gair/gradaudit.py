@@ -100,6 +100,10 @@ def audit_cases(seed: int = 0):
 
     cases.append(("secl_loss", secl, [_t(rng, 4, d), _t(rng, 4, d), _t(rng, 4, d)]))
 
+    # Index arrays that repeat elements, whose gradients must add up.
+    repeat_rows, repeat_cols = np.array([0, 0, 2, 2]), np.array([1, 1, 1, 3])
+    cases.append(("index_repeated", lambda a: (a[repeat_rows] * a[repeat_rows, repeat_cols][:, None]).sum(), [_t(rng, 3, 4)]))
+
     # Combined pipeline: both losses through the interpolation module and
     # small real encoders, differentiated w.r.t. a shared parameter sample.
     enc_cfg = EncoderConfig(channels=1, image_size=8, patch_size=4, dim=4, depth=1, heads=2, ff_width=8)

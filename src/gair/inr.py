@@ -56,8 +56,8 @@ class FThetaParams:
         fan_in = 9 * d + 2
         w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, d))
         return FThetaParams(
-            weight=Tensor(w.astype(dtype), requires_grad=True, name="ftheta.weight"),
-            bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True, name="ftheta.bias"),
+            weight=Tensor(w.astype(dtype), requires_grad=True),
+            bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
         )
 
     @staticmethod

@@ -95,9 +95,9 @@ def sim_matrix(a: Tensor, b: Tensor) -> Tensor:
 
 def _diag_nll(logits: Tensor) -> Tensor:
     """Mean over rows of -log softmax at the diagonal entry."""
-    n = logits.shape[0]
-    mask = Tensor(np.eye(n, logits.shape[1], dtype=logits.dtype))
-    return -(log_softmax_rows(logits) * mask).sum().scale(1.0 / n)
+    rows = np.arange(logits.shape[0])
+    return -log_softmax_rows(logits)[rows, rows].mean()
+
 
 def incl_loss(z_q: Tensor, g_s: Tensor, tau: float) -> Tensor:
     """Symmetric InfoNCE between matched localized-RS and SV embeddings."""

@@ -49,10 +49,6 @@ class ContractError(RuntimeError):
     pass
 
 
-# Name of a deliberately corrupted backward rule, used as a negative control
-# by the gradient-audit command. Never set outside tests/audits.
-_FAULT_OP = os.environ.get("GAIR_FAULT_OP", "")
-
 def _keep_freed_heap():
     """Stop glibc from handing each freed graph back to the OS.
 
@@ -96,9 +92,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A node in the differentiation graph, wrapping a dense float array."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, values, requires_grad=False, dtype=None, name=None):
+    def __init__(self, values, requires_grad=False, dtype=None):
         arr = np.asarray(values)
         if dtype is not None:
             arr = arr.astype(dtype)
@@ -109,7 +105,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-        self.name = name
 
     @property
     def shape(self):
@@ -133,17 +128,17 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def _accumulate(self, g: np.ndarray):
-        """Add `g` into `self.grad`.
+        """Add `g` into `self.grad`; a tensor that does not require grad
+        (a constant) keeps `grad` None.
 
         The first gradient is stored without a copy, so it may alias a
         sibling's gradient or a view of the child's. That is safe only while
         no code writes into a gradient array in place: later accumulation,
         gradient clipping and the optimizer all rebind `grad` instead.
         """
+        if not self.requires_grad:
+            return
         g = g.astype(self.values.dtype, copy=False)
         if self.grad is None:
             self.grad = g
@@ -154,9 +149,10 @@ class Tensor:
 
     @staticmethod
     def _make(values, parents, backward):
+        # A node joins the graph iff a parent requires grad, so it does too.
         out = Tensor(values)
-        if any(p.requires_grad or p._parents for p in parents):
-            out.requires_grad = any(p.requires_grad for p in parents)
+        if any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
         return out
@@ -328,10 +324,16 @@ class Tensor:
     def __getitem__(self, key):
         out_vals = self.values[key]
         shape, dtype = self.shape, self.values.dtype
+        # An index array may repeat an element, whose gradients must add up;
+        # basic slices never repeat, and plain assignment is far cheaper.
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in (key if isinstance(key, tuple) else (key,)))
 
         def bwd(g):
             full = np.zeros(shape, dtype=dtype)
-            full[key] = g
+            if fancy:
+                np.add.at(full, key, g)
+            else:
+                full[key] = g
             self._accumulate(full)
 
         return Tensor._make(out_vals, (self,), bwd)
@@ -343,12 +345,9 @@ class Tensor:
         shape = self.shape
 
         def bwd(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, shape).copy())
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, shape).copy())
 
         return Tensor._make(out_vals, (self,), bwd)
 
@@ -381,8 +380,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g = np.expand_dims(g, -2)
         ga = np.matmul(g, np.swapaxes(b_vals, -1, -2))
         gb = np.matmul(np.swapaxes(a_vals, -1, -2), g)
-        if _FAULT_OP == "matmul":
-            ga = ga * 1.01
         a._accumulate(_unbroadcast(ga, a_vals.shape).reshape(a.shape))
         b._accumulate(_unbroadcast(gb, b_vals.shape).reshape(b.shape))
 
@@ -398,10 +395,7 @@ def _matmul_2d_rhs(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        ga = (g2 @ b_vals.T).reshape(a.shape)
-        if _FAULT_OP == "matmul":
-            ga = ga * 1.01
-        a._accumulate(ga)
+        a._accumulate((g2 @ b_vals.T).reshape(a.shape))
         b._accumulate(a2.T @ g2)
 
     return Tensor._make(out_vals, (a, b), bwd)
@@ -460,10 +454,7 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
     def bwd(g):
         dot = (g * vals).sum(axis=-1, keepdims=True)
-        gx = g / denom - np.where(live, vals * dot / (denom**3), 0.0)
-        if _FAULT_OP == "l2_normalize_rows":
-            gx = g / denom
-        x._accumulate(gx)
+        x._accumulate(g / denom - np.where(live, vals * dot / (denom**3), 0.0))
 
     return Tensor._make(out_vals, (x,), bwd)
 

@@ -156,12 +156,13 @@ class Model:
         )
 
 
+def _grad_norm(tensors) -> float:
+    """Global L2 norm of the gradients present, accumulated in float64."""
+    return math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in tensors if p.grad is not None))
+
+
 def _clip_gradients(params: dict, max_norm: float) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    norm = _grad_norm(params.values())
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for p in params.values():
@@ -183,7 +184,7 @@ def train_step(model: Model, batch: TripleBatch, bank: MemoryBank, optimizer: Ad
     total = combined_loss(incl, secl, config.loss.lambda_secl)
     backward(total)
     grad_norm = _clip_gradients(optimizer.params, config.grad_clip)
-    loc_norm = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in model.loc.params.values() if p.grad is not None))
+    loc_norm = _grad_norm(model.loc.params.values())
     optimizer.step(lr)
     bank.push(e_x.values.astype(np.float64))
     return {

@@ -62,6 +62,18 @@ class TestRetrieval:
             assert m[f"recall@{k}"] == np.mean(ranks <= k)
         assert m["median_rank"] == np.median(ranks)
 
+    def test_ties_match_stable_sort_oracle(self):
+        rng = np.random.default_rng(3)
+        # Small-integer vectors give many exactly equal similarities.
+        q = rng.integers(-1, 2, size=(200, 3)).astype(float)
+        c = rng.integers(-1, 2, size=(200, 3)).astype(float)
+        truth = rng.permutation(200)
+        order = np.argsort(-(q @ c.T), axis=1, kind="stable")
+        ranks = np.array([int(np.flatnonzero(order[i] == truth[i])[0]) + 1 for i in range(200)])
+        expected = {f"recall@{k}": float(np.mean(ranks <= k)) for k in (1, 5, 10)}
+        expected["median_rank"] = float(np.median(ranks))
+        assert retrieval_metrics(q, c, truth) == expected
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         q = unit_rows(rng, 16, 8)

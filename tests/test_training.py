@@ -204,28 +204,44 @@ class TestTrainStep:
                               for p in opt.params.values() if p.grad is not None))
         assert total <= 1e-6 * (1 + 1e-5)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_computes_in_model_dtype(self, dtype, monkeypatch):
+    @staticmethod
+    def recorded_step(model, monkeypatch):
+        """Run two real train_steps and return the second one's graph nodes
+        and the optimizer; the first puts rows in the bank, so the graph
+        holds them."""
         roots, real_backward = [], training.backward
 
         def recording_backward(root):
             roots.append(root)
             real_backward(root)
 
-        model = tiny_model(dtype=dtype)
         recs = tiny_records()
         cfg = tiny_train_config()
         bank = MemoryBank(cfg.loss.bank_capacity)
         opt = AdamW(model.parameters(), cfg)
         batch = make_batch(recs, list(range(4)), np.random.default_rng(0))
-        train_step(model, batch, bank, opt, cfg, lr=1e-3)  # puts rows in the bank, so the next graph holds them
+        train_step(model, batch, bank, opt, cfg, lr=1e-3)
         monkeypatch.setattr(training, "backward", recording_backward)
         train_step(model, batch, bank, opt, cfg, lr=1e-3)
-        nodes = graph_nodes(roots[0])
+        return graph_nodes(roots[0]), opt
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_computes_in_model_dtype(self, dtype, monkeypatch):
+        nodes, opt = self.recorded_step(tiny_model(dtype=dtype), monkeypatch)
         assert len(nodes) > 100
         assert {n.values.dtype for n in nodes} == {np.dtype(dtype)}
         assert {n.grad.dtype for n in nodes if n.grad is not None} == {np.dtype(dtype)}
         assert {a.dtype for a in [*opt.m.values(), *opt.v.values()]} == {np.dtype(dtype)}
+
+    def test_constants_get_no_gradient(self, monkeypatch):
+        model = tiny_model()
+        nodes, _ = self.recorded_step(model, monkeypatch)
+        constants = [n for n in nodes if not n.requires_grad]
+        assert len(constants) > 10
+        assert all(not n._parents for n in constants)
+        assert [n.grad for n in constants] == [None] * len(constants)
+        params = {id(p) for p in model.parameters().values()}
+        assert all(n.grad is not None for n in nodes if id(n) in params)
 
     def test_shared_first_gradients_are_clipped_once(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
