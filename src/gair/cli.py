@@ -27,7 +27,7 @@ from .evalkit import fit_probe, heatmap_inr, heatmap_loc, retrieval_metrics, wri
 from .geo import GeoPoint
 from .inr import unfold3x3
 from .objectives import LossConfig
-from .training import Model, TrainConfig, config_hash, load_checkpoint, save_checkpoint, train
+from .training import Model, TrainConfig, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,7 +53,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable config file {path}: {exc}") from None
 
 
@@ -119,23 +119,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dataset_config(args, file_cfg) -> DataConfig:
-    cfg = DataConfig()
-    cfg.count = int(_merged(args, file_cfg, "count", cfg.count))
-    cfg.seed = int(_merged(args, file_cfg, "seed", cfg.seed))
-    for key in ("region_deg", "footprint_deg", "rs_size", "sv_size", "temporal_variants", "modes",
-                "sigma_rs", "sigma_sv", "sigma_temporal"):
-        if key in file_cfg:
-            setattr(cfg, key, type(getattr(cfg, key))(file_cfg[key]))
-    return cfg
+    """Flag > config file > dataclass default; DataConfig checks the values."""
+    d = DataConfig()
+    keys = ("region_deg", "footprint_deg", "rs_size", "sv_size", "temporal_variants", "modes",
+            "sigma_rs", "sigma_sv", "sigma_temporal")
+    return DataConfig(
+        count=int(_merged(args, file_cfg, "count", d.count)),
+        seed=int(_merged(args, file_cfg, "seed", d.seed)),
+        **{k: type(getattr(d, k))(file_cfg[k]) for k in keys if k in file_cfg},
+    )
 
 
 def cmd_gen_data(args, file_cfg) -> int:
     try:
         cfg = _dataset_config(args, file_cfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return _usage_error(f"bad dataset config: {exc}")
-    if cfg.count <= 0:
-        return _usage_error("--count must be positive")
     try:
         records = generate_records(cfg)
         manifest_path = write_dataset(records, args.out, cfg)
@@ -190,7 +189,7 @@ def cmd_pretrain(args, file_cfg) -> int:
         return EXIT_DATA
     try:
         cfg = _train_config(args, file_cfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return _usage_error(f"bad training config: {exc}")
     os.makedirs(args.out, exist_ok=True)
 

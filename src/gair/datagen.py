@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import FormatError, require_keys
+from .errors import FormatError, _replacing, require_keys
 from .geo import GeoFootprint, GeoPoint, to_local
 
 __all__ = [
@@ -67,6 +67,17 @@ class DataConfig:
     sigma_sv: float = 0.2
     sigma_temporal: float = 0.05
     inr_hull_margin: float = 0.125  # half-patch margin fraction (1/P)
+
+    def __post_init__(self):
+        # np.gradient needs rs_size >= 2; a Philox key needs seed >= 0.
+        lows = {"seed": 0, "count": 1, "rs_channels": 1, "rs_size": 2, "sv_size": 1, "temporal_variants": 1, "modes": 1}
+        for name, low in lows.items():
+            if not isinstance(getattr(self, name), int) or getattr(self, name) < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {getattr(self, name)!r}")
+        if not 0 < self.footprint_deg <= self.region_deg < math.inf:
+            raise ValueError("need 0 < footprint_deg <= region_deg < inf")
+        if not (0 <= self.inr_hull_margin < 1 and all(s >= 0 for s in (self.sigma_rs, self.sigma_sv, self.sigma_temporal))):
+            raise ValueError("need 0 <= inr_hull_margin < 1 and sigma_rs, sigma_sv, sigma_temporal >= 0")
 
     def region(self) -> GeoFootprint:
         lon0 = self.region_lon0_deg * _DEG
@@ -227,108 +238,75 @@ def generate_records(config: DataConfig) -> list:
 # -- persistence ---------------------------------------------------------------
 
 
-def _record_bytes(r: TripleRecord) -> bytes:
-    parts = [
-        np.ascontiguousarray(r.rs, dtype="<f4").tobytes(),
-        np.ascontiguousarray(r.sv, dtype="<f4").tobytes(),
-        struct.pack("<dd", r.lon, r.lat),
-        struct.pack("<qd", r.label_class, r.label_reg),
-        struct.pack("<dddd", r.footprint.lon_min, r.footprint.lon_max, r.footprint.lat_min, r.footprint.lat_max),
-    ]
-    return b"".join(parts)
+def _record_dtype(cfg: DataConfig) -> np.dtype:
+    """One data.blob record: packed little-endian, its size fixed by the config."""
+    t, c, h, s = cfg.temporal_variants, cfg.rs_channels, cfg.rs_size, cfg.sv_size
+    return np.dtype([("rs", "<f4", (t, c, h, h)), ("sv", "<f4", (1, s, s)), ("lon", "<f8"), ("lat", "<f8"),
+                     ("label_class", "<i8"), ("label_reg", "<f8"), ("footprint", "<f8", (4,))])
 
 
 def write_dataset(records: list, out_dir, config: DataConfig) -> str:
-    """Write manifest.json + data.blob under out_dir; returns manifest path."""
-    import os
-
+    """Write data.blob (BLOB_MAGIC, one `_record_dtype` row per record), then
+    manifest.json, under out_dir; returns the manifest path. The old manifest
+    goes first, so an interrupted write never leaves one beside another blob."""
     if not records:
         raise ValueError("refusing to write an empty dataset")
     os.makedirs(out_dir, exist_ok=True)
-    blob_path = os.path.join(out_dir, "data.blob")
-    offsets = []
-    pos = len(BLOB_MAGIC)
-    with open(blob_path, "wb") as fh:
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
+    row = np.zeros((), _record_dtype(config))
+    with _replacing(os.path.join(out_dir, "data.blob")) as tmp, open(tmp, "wb") as fh:
         fh.write(BLOB_MAGIC)
         for r in records:
-            data = _record_bytes(r)
-            offsets.append(pos)
-            fh.write(data)
-            pos += len(data)
-    r0 = records[0]
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "count": len(records),
-        "blob": "data.blob",
-        "blob_size": pos,
-        "rng": RNG_ALGORITHM,
-        "rs_shape": list(r0.rs.shape),
-        "sv_shape": list(r0.sv.shape),
-        "record_layout": "rs<f4, sv<f4, lon/lat<f8, label_class<i8, label_reg<f8, footprint 4<f8",
-        "offsets": offsets,
-        "config": asdict(config),
-    }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+            fp = r.footprint
+            row[()] = (r.rs, r.sv, r.lon, r.lat, r.label_class, r.label_reg, (fp.lon_min, fp.lon_max, fp.lat_min, fp.lat_max))
+            fh.write(row)
+    manifest = {"version": MANIFEST_VERSION, "count": len(records), "rng": RNG_ALGORITHM, "config": asdict(config)}
+    with _replacing(manifest_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return manifest_path
 
 
 def read_dataset(path) -> tuple:
-    """Load (records, manifest) from a manifest path or dataset directory."""
-    import os
-
+    """Load (records, manifest) from a manifest path or dataset directory;
+    every record's `rs` and `sv` are views of one table read from data.blob."""
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable manifest {path}: {exc}") from None
-    require_keys(manifest, ("version",), "manifest")
+    require_keys(manifest, ("version", "count", "config"), "manifest")
     if manifest["version"] != MANIFEST_VERSION:
-        raise FormatError(f"unsupported dataset version {manifest['version']}")
-    require_keys(manifest, ("blob", "blob_size", "rs_shape", "sv_shape", "offsets", "config"), "manifest")
+        raise FormatError(f"unsupported dataset version {manifest['version']!r}")
+    count = manifest["count"]
+    if not isinstance(count, int) or count < 1:
+        raise FormatError(f"manifest count must be a positive integer, not {count!r}")
     require_keys(manifest["config"], [f.name for f in fields(DataConfig)], "manifest config")
-    blob_path = os.path.join(os.path.dirname(path), manifest["blob"])
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(BLOB_MAGIC)] != BLOB_MAGIC:
-        raise FormatError("bad blob magic", offset=0)
-    if len(blob) != manifest["blob_size"]:
-        raise FormatError(f"blob truncated: expected {manifest['blob_size']} bytes, found {len(blob)}", offset=len(blob))
-
-    rs_shape = tuple(manifest["rs_shape"])
-    sv_shape = tuple(manifest["sv_shape"])
-    rs_n = int(np.prod(rs_shape))
-    sv_n = int(np.prod(sv_shape))
+    try:
+        dtype = _record_dtype(DataConfig(**manifest["config"]))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed manifest config: {exc}") from None
+    expected = len(BLOB_MAGIC) + count * dtype.itemsize
+    with open(os.path.join(os.path.dirname(path), "data.blob"), "rb") as fh:
+        if fh.read(len(BLOB_MAGIC)) != BLOB_MAGIC:
+            raise FormatError("bad blob magic", offset=0)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"blob truncated or overlong: expected {expected} bytes, found {size}", offset=min(size, expected))
+        table = np.fromfile(fh, dtype=dtype, count=count)
+    columns = zip(table["rs"], table["sv"], table["lon"].tolist(), table["lat"].tolist(),
+                  table["label_class"].tolist(), table["label_reg"].tolist(), table["footprint"].tolist())
     records = []
-    for i, off in enumerate(manifest["offsets"]):
-        pos = off
+    for i, (rs, sv, lon, lat, label_class, label_reg, bounds) in enumerate(columns):
         try:
-            rs = np.frombuffer(blob, dtype="<f4", count=rs_n, offset=pos).reshape(rs_shape)
-            pos += 4 * rs_n
-            sv = np.frombuffer(blob, dtype="<f4", count=sv_n, offset=pos).reshape(sv_shape)
-            pos += 4 * sv_n
-            lon, lat = struct.unpack_from("<dd", blob, pos)
-            pos += 16
-            label_class, label_reg = struct.unpack_from("<qd", blob, pos)
-            pos += 16
-            fp_vals = struct.unpack_from("<dddd", blob, pos)
-        except (ValueError, struct.error):
-            raise FormatError(f"record {i} truncated", offset=pos) from None
-        records.append(
-            TripleRecord(
-                rs=rs.copy(),
-                sv=sv.copy(),
-                lon=lon,
-                lat=lat,
-                label_class=label_class,
-                label_reg=label_reg,
-                footprint=GeoFootprint(*fp_vals),
-            )
-        )
+            footprint = GeoFootprint(*bounds)
+        except ValueError as exc:
+            raise FormatError(f"record {i}: {exc}", offset=len(BLOB_MAGIC) + i * dtype.itemsize) from None
+        records.append(TripleRecord(rs, sv, lon, lat, label_class, label_reg, footprint))
     return records, manifest
 
 

@@ -1,4 +1,7 @@
-"""Shared error types for file formats and run-level failures."""
+"""Shared error types for file formats and run-level failures, and the atomic file replace."""
+
+import os
+from contextlib import contextmanager
 
 
 class FormatError(Exception):
@@ -18,3 +21,15 @@ def require_keys(obj, keys, what: str) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise FormatError(f"{what} lacks {', '.join(missing)}")
+
+
+@contextmanager
+def _replacing(path):
+    """Yield `<path>.tmp` to write; rename it over `path` if the block succeeds, else remove it."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

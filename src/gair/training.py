@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import TripleBatch
 from .encoders import EncoderConfig, ImageEncoder, LocEncoderConfig, LocationEncoder
-from .errors import FormatError, require_keys
+from .errors import FormatError, _replacing, require_keys
 from .inr import FThetaParams, inr_query_batch, unfold3x3
 from .objectives import LossConfig, MemoryBank, combined_loss, incl_loss, secl_loss
 from .tensor import Tensor, backward
@@ -45,6 +45,11 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed", "eval_every"):
+            if not isinstance(getattr(self, name), int):
+                raise TypeError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        if self.schedule not in ("cosine", "constant"):
+            raise ValueError(f"schedule must be 'cosine' or 'constant', not {self.schedule!r}")
         if self.batch_size < 2:
             raise ValueError("contrastive training needs batch size >= 2")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -197,8 +202,9 @@ def train_step(model: Model, batch: TripleBatch, bank: MemoryBank, optimizer: Ad
     }
 
 
-def config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+def config_hash(model: Model, config: TrainConfig) -> str:
+    """The checkpoint header's short hash of the model and training configs."""
+    return hashlib.sha256(json.dumps({**model.configs(), **asdict(config)}, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_step=0, metrics_fh=None, checkpoint_dir=None):
@@ -247,28 +253,25 @@ def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_
 # magic (8) | version <u32 | header_len <u64 | header JSON (utf-8) | raw data.
 # The header lists every array (name, dtype, shape, offset into the data
 # section, in order), the model dtype, the step, config, and config hash.
-# A header without a dtype holds a float32 model.
+# Each array starts where the previous one ends, and the last one ends the
+# file. A header without a dtype holds a float32 model.
+
+
+def _checkpoint_arrays(model: Model, optimizer: AdamW, bank: MemoryBank) -> list:
+    """(name, array) for every array a checkpoint holds, in file order."""
+    params = model.parameters()
+    return ([(f"param/{n}", params[n].values) for n in sorted(params)]
+            + [(f"adam_{k}/{n}", getattr(optimizer, k)[n]) for n in sorted(optimizer.m) for k in "mv"]
+            + [("bank", bank.snapshot()), ("rff_B", model.loc.B)])
 
 
 def save_checkpoint(path, model: Model, optimizer: AdamW, bank: MemoryBank, config: TrainConfig, step: int):
-    params = model.parameters()
-    arrays = []
-    for name in sorted(params):
-        arrays.append((f"param/{name}", params[name].values))
-    for name in sorted(optimizer.m):
-        arrays.append((f"adam_m/{name}", optimizer.m[name]))
-        arrays.append((f"adam_v/{name}", optimizer.v[name]))
-    arrays.append(("bank", bank.snapshot()))
-    arrays.append(("rff_B", model.loc.B))
-
-    entries = []
-    blobs = []
-    offset = 0
-    for name, arr in arrays:
-        data = np.ascontiguousarray(arr).astype("<f8" if arr.dtype == np.float64 else "<f4").tobytes()
-        entries.append({"name": name, "dtype": "f8" if arr.dtype == np.float64 else "f4", "shape": list(arr.shape), "offset": offset})
-        blobs.append(data)
-        offset += len(data)
+    entries, blobs, offset = [], [], 0
+    for name, arr in _checkpoint_arrays(model, optimizer, bank):
+        kind = "f8" if arr.dtype == np.float64 else "f4"
+        blobs.append(np.ascontiguousarray(arr, dtype="<" + kind).tobytes())
+        entries.append({"name": name, "dtype": kind, "shape": list(arr.shape), "offset": offset})
+        offset += len(blobs[-1])
     header = {
         "version": CKPT_VERSION,
         "dtype": np.dtype(model.dtype).name,
@@ -276,24 +279,16 @@ def save_checkpoint(path, model: Model, optimizer: AdamW, bank: MemoryBank, conf
         "adam_t": optimizer.t,
         "model": model.configs(),
         "train_config": asdict(config),
-        "config_hash": config_hash({**model.configs(), **asdict(config)}),
+        "config_hash": config_hash(model, config),
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    # Write beside the target, then rename over it: a failed write never
-    # leaves a partial checkpoint at `path`.
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<IQ", CKPT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            for b in blobs:
-                fh.write(b)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<IQ", CKPT_VERSION, len(header_bytes)))
+        fh.write(header_bytes)
+        for b in blobs:
+            fh.write(b)
 
 
 def load_checkpoint(path) -> dict:
@@ -302,58 +297,69 @@ def load_checkpoint(path) -> dict:
         raw = fh.read()
     if raw[:8] != CKPT_MAGIC:
         raise FormatError("bad checkpoint magic", offset=0)
+    if len(raw) < 20:
+        raise FormatError("checkpoint truncated in its preamble", offset=len(raw))
     version, header_len = struct.unpack_from("<IQ", raw, 8)
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     header_end = 20 + header_len
     try:
         header = json.loads(raw[20:header_end])
-    except json.JSONDecodeError:
+    except ValueError:
         raise FormatError("corrupt checkpoint header", offset=20) from None
     require_keys(header, ("step", "adam_t", "model", "train_config", "config_hash", "arrays"), "checkpoint header")
     require_keys(header["model"], ("rs", "sv", "loc", "seed"), "checkpoint model config")
+    for key in ("step", "adam_t"):
+        if not isinstance(header[key], int) or header[key] < 0:
+            raise FormatError(f"checkpoint {key} must be a non-negative integer, not {header[key]!r}")
     dtype = header.get("dtype", "float32")  # headers before the field held float32 models
-    if dtype not in _MODEL_DTYPES:
+    if not isinstance(dtype, str) or dtype not in _MODEL_DTYPES:
         raise FormatError(f"unsupported checkpoint model dtype {dtype!r}")
-    data = raw[header_end:]
-    arrays = {}
-    for e in header["arrays"]:
-        require_keys(e, ("name", "dtype", "shape", "offset"), "checkpoint array entry")
-        if e["dtype"] not in ("f4", "f8"):
-            raise FormatError(f"unsupported dtype {e['dtype']!r} in array {e['name']}")
-        count = int(np.prod(e["shape"])) if e["shape"] else 1
-        end = e["offset"] + count * np.dtype(e["dtype"]).itemsize
-        if end > len(data):
-            raise FormatError(f"checkpoint truncated in array {e['name']}", offset=header_end + e["offset"])
-        arrays[e["name"]] = np.frombuffer(data, dtype="<" + e["dtype"], count=count, offset=e["offset"]).reshape(e["shape"]).copy()
-
     try:
         model = Model.from_configs(header["model"], dtype=_MODEL_DTYPES[dtype])
         config = TrainConfig(**header["train_config"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed config in checkpoint header: {exc}") from None
+    if header["config_hash"] != config_hash(model, config):
+        raise FormatError("checkpoint config_hash does not match its configs")
+
     params = model.parameters()
-    names = sorted(params)
-    required = [f"{kind}/{n}" for kind in ("param", "adam_m", "adam_v") for n in names] + ["bank", "rff_B"]
-    require_keys(arrays, required, "checkpoint arrays")
-    for name, p in params.items():
-        p.values = arrays[f"param/{name}"].astype(p.dtype).reshape(p.shape)
-    model.loc.B = arrays["rff_B"].astype(np.float64)
     optimizer = AdamW(params, config)
-    optimizer.load_state({
-        "t": header["adam_t"],
-        "m": {n: arrays[f"adam_m/{n}"] for n in names},
-        "v": {n: arrays[f"adam_v/{n}"] for n in names},
-    })
     bank = MemoryBank(config.loss.bank_capacity)
-    bank_arr = arrays["bank"]
-    if bank_arr.size:
-        bank.load_state(bank_arr.astype(np.float64))
-    return {
-        "model": model,
-        "optimizer": optimizer,
-        "bank": bank,
-        "config": config,
-        "step": header["step"],
-        "header": header,
-    }
+    shapes = {name: arr.shape for name, arr in _checkpoint_arrays(model, optimizer, bank)}
+    entries = header["arrays"]
+    if not isinstance(entries, list):
+        raise FormatError("checkpoint arrays is not a list")
+    for e in entries:
+        require_keys(e, ("name", "dtype", "shape", "offset"), "checkpoint array entry")
+    require_keys({str(e["name"]): e for e in entries}, shapes, "checkpoint arrays")
+    data = raw[header_end:]
+    arrays, cursor = {}, 0
+    for e in entries:
+        name, shape = str(e["name"]), e["shape"]
+        if e["offset"] != cursor:
+            raise FormatError(f"array {name} does not start where the previous array ends", offset=header_end + cursor)
+        if e["dtype"] not in ("f4", "f8"):
+            raise FormatError(f"unsupported dtype {e['dtype']!r} in array {name}")
+        if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)):
+            raise FormatError(f"array {name} has a malformed shape {shape!r}")
+        # An empty bank is saved as (0, 0), a filled one as (rows, dim).
+        bank_fits = name == "bank" and len(shape) == 2 and shape[0] <= bank.capacity and shape[1] == model.loc.config.dim
+        if not bank_fits and tuple(shape) != shapes.get(name):
+            raise FormatError(f"array {name} has shape {shape}, which does not fit the model")
+        count = math.prod(shape)
+        end = cursor + count * np.dtype(e["dtype"]).itemsize
+        if end > len(data):
+            raise FormatError(f"checkpoint truncated in array {name}", offset=header_end + cursor)
+        arrays[name] = np.frombuffer(data, dtype="<" + e["dtype"], count=count, offset=cursor).reshape(shape).copy()
+        cursor = end
+    if cursor != len(data):
+        raise FormatError(f"checkpoint has {len(data) - cursor} bytes after its last array", offset=header_end + cursor)
+
+    for name, p in params.items():
+        p.values = arrays[f"param/{name}"].astype(p.dtype)
+    model.loc.B = arrays["rff_B"].astype(np.float64)
+    optimizer.load_state({"t": header["adam_t"], "m": {n: arrays[f"adam_m/{n}"] for n in params},
+                          "v": {n: arrays[f"adam_v/{n}"] for n in params}})
+    bank.load_state(arrays["bank"])
+    return {"model": model, "optimizer": optimizer, "bank": bank, "config": config, "step": header["step"], "header": header}

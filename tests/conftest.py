@@ -30,6 +30,34 @@ def edit_checkpoint_header():
     return edit_header
 
 
+@pytest.fixture
+def full_disk(monkeypatch):
+    """`full_disk(module)` makes every file that `module` opens fail each
+    write after its first, as a full disk would; `monkeypatch.undo()` ends it."""
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    def install(module):
+        real_open = open
+        monkeypatch.setattr(module, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)), raising=False)
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def record_criterion():
     def record(number: int, name: str, passed: bool, detail: str):

@@ -68,6 +68,16 @@ class TestGenData:
         assert main(["--config", cfg, "gen-data", "--out", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        {"rs_size": 0}, {"rs_size": 1}, {"temporal_variants": 0}, {"footprint_deg": 2.0},
+        {"region_deg": -1}, {"modes": 0}, {"sv_size": 0},
+    ], ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()))
+    def test_rejected_dataset_value_is_usage_error(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path, "d.json", {**TINY_DATA, "count": 4, **edit})
+        assert main(["--config", cfg, "gen-data", "--out", str(tmp_path / "x")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unreadable_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -133,6 +143,12 @@ class TestPretrain:
     def test_rejected_training_value_is_usage_error(self, tmp_path, workspace, capsys, flags):
         rc = main(["pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"), *flags])
         assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+
+    def test_unknown_schedule_in_config_is_usage_error(self, tmp_path, workspace, capsys):
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN, "schedule": "bogus"})
+        assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
 

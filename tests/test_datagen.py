@@ -1,11 +1,15 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from gair import datagen
 from gair.datagen import (
     BLOB_MAGIC,
     DataConfig,
+    _record_dtype,
     _sv_bases,
     build_world,
     field_gradient,
@@ -153,13 +157,12 @@ class TestPersistence:
     def test_offsets_match_recomputation(self, tmp_path):
         cfg = small_cfg()
         recs = generate_records(cfg)
-        _, manifest = read_dataset(write_dataset(recs, tmp_path / "ds", cfg))
-        rs_bytes = recs[0].rs.size * 4
-        sv_bytes = recs[0].sv.size * 4
-        record_size = rs_bytes + sv_bytes + 16 + 16 + 32
-        expected = [len(BLOB_MAGIC) + i * record_size for i in range(len(recs))]
-        assert manifest["offsets"] == expected
-        assert manifest["blob_size"] == len(BLOB_MAGIC) + len(recs) * record_size
+        loaded, _ = read_dataset(write_dataset(recs, tmp_path / "ds", cfg))
+        record_size = recs[0].rs.size * 4 + recs[0].sv.size * 4 + 16 + 16 + 32
+        assert _record_dtype(cfg).itemsize == record_size
+        starts = [r.rs.__array_interface__["data"][0] for r in loaded]
+        assert np.all(np.diff(starts) == record_size)
+        assert (tmp_path / "ds" / "data.blob").stat().st_size == len(BLOB_MAGIC) + len(recs) * record_size
 
     def test_bad_magic_rejected(self, tmp_path):
         cfg = small_cfg()
@@ -188,14 +191,86 @@ class TestPersistence:
     def test_wrong_version_rejected(self, tmp_path):
         cfg = small_cfg()
         manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
-        import json
-
         manifest = json.loads(open(manifest_path).read())
         manifest["version"] = 99
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(FormatError, match="version"):
             read_dataset(manifest_path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(count="20"),
+        lambda m: m.update(count=0),
+        lambda m: m.update(count=19),
+        lambda m: m.update(count=21),
+        lambda m: m.update(config=[1]),
+        lambda m: m["config"].pop("sv_size"),
+        lambda m: m["config"].update(bogus=1),
+        lambda m: m["config"].update(rs_size=0),
+        lambda m: m["config"].update(rs_size=32.0),
+        lambda m: m["config"].update(temporal_variants="4"),
+    ], ids=["count-str", "count-zero", "count-short", "count-long", "config-list", "config-missing-key",
+            "config-unknown-key", "config-rejected-value", "config-float-size", "config-str-size"])
+    def test_malformed_manifest_is_format_error(self, tmp_path, edit):
+        cfg = small_cfg()
+        manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
+        manifest = json.loads(open(manifest_path).read())
+        edit(manifest)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(FormatError):
+            read_dataset(manifest_path)
+
+    def test_stored_layout_keys_are_ignored(self, tmp_path):
+        # Manifests written before the layout was derived from the config
+        # also stored it; the reader ignores those keys, whatever they hold.
+        cfg = small_cfg()
+        recs = generate_records(cfg)
+        manifest_path = write_dataset(recs, tmp_path / "ds", cfg)
+        manifest = json.loads(open(manifest_path).read())
+        assert sorted(manifest) == ["config", "count", "rng", "version"]
+        manifest.update(blob="other.blob", blob_size=1, offsets=[-5, "x"], rs_shape=[1], sv_shape="x", record_layout=None)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        loaded, _ = read_dataset(manifest_path)
+        assert len(loaded) == len(recs)
+        assert all(np.array_equal(a.rs, b.rs) and a.footprint == b.footprint for a, b in zip(recs, loaded))
+
+    def test_loaded_fields_are_python_scalars_and_writable_arrays(self, tmp_path):
+        cfg = small_cfg()
+        loaded, _ = read_dataset(write_dataset(generate_records(cfg), tmp_path / "ds", cfg))
+        r = loaded[3]
+        assert type(r.lon) is float and type(r.label_reg) is float and type(r.label_class) is int
+        assert type(r.footprint.lon_min) is float
+        assert r.rs.flags.writeable and r.sv.flags.writeable
+
+    def test_invalid_footprint_is_format_error(self, tmp_path):
+        cfg = small_cfg()
+        manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
+        blob = tmp_path / "ds" / "data.blob"
+        data = bytearray(blob.read_bytes())
+        stride = _record_dtype(cfg).itemsize
+        start = len(BLOB_MAGIC) + 2 * stride
+        fp_at = start + stride - 32  # lon_min is the first footprint bound
+        data[fp_at : fp_at + 8] = struct.pack("<d", 10.0)  # lon_min > lon_max
+        blob.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"record 2.*at byte offset {start}"):
+            read_dataset(manifest_path)
+
+    def test_failed_blob_write_leaves_no_manifest(self, tmp_path, monkeypatch, full_disk):
+        cfg = small_cfg()
+        recs = generate_records(cfg)
+        write_dataset(recs, tmp_path / "ds", cfg)
+        blob_before = (tmp_path / "ds" / "data.blob").read_bytes()
+
+        full_disk(datagen)
+        with pytest.raises(OSError, match="no space"):
+            write_dataset(recs[:5], tmp_path / "ds", cfg)
+        monkeypatch.undo()
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == ["data.blob"]
+        assert (tmp_path / "ds" / "data.blob").read_bytes() == blob_before
+        with pytest.raises(FormatError, match="unreadable manifest"):
+            read_dataset(tmp_path / "ds")
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +88,11 @@ class TestSchedule:
         peak = int(np.argmax(lrs))
         assert all(lrs[i] <= lrs[i + 1] for i in range(peak))
         assert all(lrs[i] >= lrs[i + 1] for i in range(peak, 200))
+
+    @pytest.mark.parametrize("kw", [{"schedule": "bogus"}, {"epochs": "x"}, {"batch_size": 64.0}, {"seed": None}, {"eval_every": 1.5}])
+    def test_config_rejects_bad_values(self, kw):
+        with pytest.raises((TypeError, ValueError)):
+            TrainConfig(**kw)
 
     def test_out_of_range_step(self):
         with pytest.raises(ValueError):
@@ -396,37 +402,63 @@ class TestCheckpoint:
         lambda h: h["model"]["rs"].update(bogus=1),
         lambda h: h["model"]["loc"].update(dim="wide"),
         lambda h: h["model"].update(sv=[1, 2]),
-    ], ids=["unknown-train-key", "typed-train-key", "typed-loss-key", "unknown-rs-key", "typed-loc-key", "sv-not-object"])
+        lambda h: h["train_config"].update(epochs="x"),
+        lambda h: h["train_config"].update(schedule="bogus"),
+    ], ids=["unknown-train-key", "typed-train-key", "typed-loss-key", "unknown-rs-key", "typed-loc-key", "sv-not-object",
+            "str-epochs", "unknown-schedule"])
     def test_malformed_config_is_format_error(self, tmp_path, edit_checkpoint_header, edit):
         _, _, _, _, path = self.run_short(tmp_path)
         edit_checkpoint_header(path, edit)
         with pytest.raises(FormatError, match="malformed config"):
             load_checkpoint(path)
 
-    def test_failed_write_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h["arrays"][1].update(offset="0"), "does not start"),
+        (lambda h: h["arrays"][1].update(offset=-4), "does not start"),
+        (lambda h: h["arrays"][1].update(offset=0), "does not start"),
+        (lambda h: h["arrays"][0].update(shape="4"), "malformed shape"),
+        (lambda h: h["arrays"][0].update(shape=[2, -2]), "malformed shape"),
+        (lambda h: h["arrays"][0].update(shape=[1]), "does not fit"),
+        (lambda h: next(e for e in h["arrays"] if e["name"] == "bank").update(shape=[4, 3]), "does not fit"),
+        (lambda h: h.update(arrays=5), "not a list"),
+        (lambda h: h.update(adam_t="10"), "adam_t"),
+        (lambda h: h.update(step="10"), "step"),
+        (lambda h: h.update(step=-1), "step"),
+        (lambda h: h.update(config_hash="0" * 16), "config_hash"),
+        (lambda h: h["train_config"].update(grad_clip=1.0), "config_hash"),
+    ], ids=["str-offset", "negative-offset", "overlapping-offset", "str-shape", "negative-dim", "wrong-shape",
+            "wrong-bank-shape", "arrays-not-list", "str-adam-t", "str-step", "negative-step", "wrong-hash", "edited-config"])
+    def test_malformed_header_is_format_error(self, tmp_path, edit_checkpoint_header, edit, match):
+        _, _, _, _, path = self.run_short(tmp_path)
+        edit_checkpoint_header(path, edit)
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [0, 9, 19])
+    def test_file_shorter_than_preamble_is_format_error(self, tmp_path, cut):
+        _, _, _, _, path = self.run_short(tmp_path)
+        path.write_bytes(b"GAIRCKPT" + path.read_bytes()[8:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_is_format_error(self, tmp_path):
+        _, _, _, _, path = self.run_short(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(raw)) + raw[20:])
+        with pytest.raises(FormatError, match="corrupt checkpoint header"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_are_format_error(self, tmp_path):
+        _, _, _, _, path = self.run_short(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(FormatError, match="after its last array"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_existing_checkpoint(self, tmp_path, monkeypatch, full_disk):
         model, opt, bank, cfg, path = self.run_short(tmp_path)
         before = path.read_bytes()
 
-        class FailingFile:
-            """Writes the first chunk, then fails as a full disk would."""
-
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 1:
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self.fh.__exit__(*exc)
-
-        real_open = open
-        monkeypatch.setattr(training, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)), raising=False)
+        full_disk(training)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, model, opt, bank, cfg, step=11)
         monkeypatch.undo()
