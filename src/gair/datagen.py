@@ -302,10 +302,15 @@ def read_dataset(path) -> tuple:
                   table["label_class"].tolist(), table["label_reg"].tolist(), table["footprint"].tolist())
     records = []
     for i, (rs, sv, lon, lat, label_class, label_reg, bounds) in enumerate(columns):
+        offset = len(BLOB_MAGIC) + i * dtype.itemsize
         try:
             footprint = GeoFootprint(*bounds)
         except ValueError as exc:
-            raise FormatError(f"record {i}: {exc}", offset=len(BLOB_MAGIC) + i * dtype.itemsize) from None
+            raise FormatError(f"record {i}: {exc}", offset=offset) from None
+        # The generator places every location inside its footprint; the
+        # comparisons are False for NaN, so a NaN location is rejected too.
+        if not (footprint.lon_min <= lon <= footprint.lon_max and footprint.lat_min <= lat <= footprint.lat_max):
+            raise FormatError(f"record {i}: location ({lon}, {lat}) lies outside its footprint", offset=offset)
         records.append(TripleRecord(rs, sv, lon, lat, label_class, label_reg, footprint))
     return records, manifest
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import GeoPoint, equal_earth_rescaled_batch
-from .tensor import Tensor, l2_normalize_rows, matmul, softmax_rows
+from .tensor import Tensor, attention, l2_normalize_rows, layer_norm, matmul
 
 __all__ = [
     "EncoderConfig",
@@ -57,13 +57,6 @@ class LocEncoderConfig:
     sigma_min: float = 0.0  # smallest scale; <= 0 means single-scale at sigma
     hidden: int = 256
     dim: int = 64
-
-
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + 1e-6).sqrt() * gamma + beta
 
 
 class ImageEncoder:
@@ -126,18 +119,16 @@ class ImageEncoder:
         hd = c.dim // c.heads
         scale = 1.0 / math.sqrt(hd)
         for i in range(c.depth):
-            h = _layer_norm(x, self._p(f"block{i}.ln1.gamma"), self._p(f"block{i}.ln1.beta"))
+            h = layer_norm(x, self._p(f"block{i}.ln1.gamma"), self._p(f"block{i}.ln1.beta"))
             q = matmul(h, self._p(f"block{i}.attn.q")).reshape(n, t, c.heads, hd).transpose(0, 2, 1, 3)
             k = matmul(h, self._p(f"block{i}.attn.k")).reshape(n, t, c.heads, hd).transpose(0, 2, 1, 3)
             v = matmul(h, self._p(f"block{i}.attn.v")).reshape(n, t, c.heads, hd).transpose(0, 2, 1, 3)
-            scores = matmul(q, k.transpose(0, 1, 3, 2)).scale(scale)
-            attn = softmax_rows(scores)
-            mixed = matmul(attn, v).transpose(0, 2, 1, 3).reshape(n, t, c.dim)
+            mixed = attention(q, k, v, scale).transpose(0, 2, 1, 3).reshape(n, t, c.dim)
             x = x + matmul(mixed, self._p(f"block{i}.attn.o"))
-            h = _layer_norm(x, self._p(f"block{i}.ln2.gamma"), self._p(f"block{i}.ln2.beta"))
+            h = layer_norm(x, self._p(f"block{i}.ln2.gamma"), self._p(f"block{i}.ln2.beta"))
             h = (matmul(h, self._p(f"block{i}.ff.w1")) + self._p(f"block{i}.ff.b1")).gelu()
             x = x + matmul(h, self._p(f"block{i}.ff.w2")) + self._p(f"block{i}.ff.b2")
-        return _layer_norm(x, self._p("final_ln.gamma"), self._p("final_ln.beta"))
+        return layer_norm(x, self._p("final_ln.gamma"), self._p("final_ln.beta"))
 
     def encode_feature_maps(self, images: np.ndarray) -> Tensor:
         """Geo-referenced latent grids (N, P, P, dim); cells unnormalized."""

@@ -4,6 +4,18 @@ Small numpy-backed engine: each op records its parents and a closure that
 accumulates gradients into them. Enough to express patch-based image
 encoders, a location MLP, continuous feature interpolation, and InfoNCE
 losses, and to validate every backward rule against finite differences.
+
+The transformer's hot ops are fused: `layer_norm`, `attention` (scores,
+softmax and mix) and `Tensor.gelu` are each one graph node with a
+closed-form backward. The forward values of `layer_norm` and `attention`
+equal those of their primitive-op chains bit for bit, in float32 and
+float64.
+
+Dtype contract: an op computes in the dtype of its inputs. GELU's erf is
+the one place the two dtypes differ in method: float64 takes
+`scipy.special.erf` (so `grad_check` sees the exact function), float32 a
+vectorized A&S 7.1.26 approximation (`_erf_f32`) that keeps GELU within
+1e-6 of scipy's.
 """
 
 from __future__ import annotations
@@ -26,6 +38,9 @@ __all__ = [
     "concat",
     "matmul",
     "softmax_rows",
+    "log_softmax_rows",
+    "layer_norm",
+    "attention",
     "l2_normalize_rows",
     "gather_cells",
     "backward",
@@ -77,6 +92,47 @@ _keep_freed_heap()
 # float32 activations to float64.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Abramowitz & Stegun 7.1.26: erf(z) = 1 - t (a1 + t (a2 + ... + t a5)) exp(-z^2)
+# with t = 1 / (1 + p z), for z >= 0; absolute error at most 1.5e-7.
+_AS_P = 0.3275911
+_AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+_CHUNK = 1 << 16  # elements per pass that stay in cache between the passes
+
+
+def _erf_f32(z: np.ndarray) -> np.ndarray:
+    """erf of a float32 array by A&S 7.1.26, in float32 arithmetic.
+
+    Its float32 error (at most 5.5e-7) sits near z = 0, where GELU weights
+    it by |x|; towards erf = +-1 the tail term vanishes, so large |z| and
+    +-inf give +-1 exactly, and NaN stays NaN. GELU then stays within one
+    float32 ulp of scipy's on [-10, 10]. The clamped rational erf of Eigen
+    and XLA, evaluated in float32, is off by up to 4.5e-7 near erf = +-1,
+    which moves GELU by up to 1.4e-6 at x = 4.5. The array is walked in
+    chunks so that its ~20 passes reuse cached data.
+    """
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    a = np.empty(min(flat.size, _CHUNK), dtype=flat.dtype)
+    t = np.empty_like(a)
+    for s in range(0, flat.size, _CHUNK):
+        zs, e = flat[s : s + _CHUNK], out[s : s + _CHUNK]
+        aa, tt = a[: zs.size], t[: zs.size]
+        np.abs(zs, out=aa)
+        np.multiply(aa, _AS_P, out=tt)
+        tt += 1.0
+        np.divide(1.0, tt, out=tt)
+        np.multiply(tt, _AS_A[4], out=e)
+        for c in _AS_A[3::-1]:
+            e += c
+            e *= tt
+        np.multiply(aa, aa, out=aa)
+        np.negative(aa, out=aa)
+        np.exp(aa, out=aa)
+        e *= aa
+        np.subtract(1.0, e, out=e)
+        np.copysign(e, zs, out=e)
+    return out.reshape(z.shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -245,16 +301,6 @@ class Tensor:
 
         return Tensor._make(out_vals, (self,), bwd)
 
-    def log(self):
-        if np.any(self.values <= 0.0):
-            raise DomainError("log of non-positive input")
-        vals = self.values
-
-        def bwd(g):
-            self._accumulate(g / vals)
-
-        return Tensor._make(np.log(vals), (self,), bwd)
-
     def sqrt(self):
         if np.any(self.values < 0.0):
             raise DomainError("sqrt of negative input")
@@ -265,31 +311,23 @@ class Tensor:
 
         return Tensor._make(out_vals, (self,), bwd)
 
-    def sin(self):
-        vals = self.values
-
-        def bwd(g):
-            self._accumulate(g * np.cos(vals))
-
-        return Tensor._make(np.sin(vals), (self,), bwd)
-
-    def cos(self):
-        vals = self.values
-
-        def bwd(g):
-            self._accumulate(-g * np.sin(vals))
-
-        return Tensor._make(np.cos(vals), (self,), bwd)
-
     def gelu(self):
-        """Exact (erf-based) GELU."""
+        """Erf-based GELU, x * Phi(x). Float64 takes erf from scipy; float32
+        uses `_erf_f32`, whose GELU stays within 1e-6 of scipy's."""
         x = self.values
-        phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        z = x * _INV_SQRT2
+        phi = 0.5 * (1.0 + (_erf_f32(z) if x.dtype == np.float32 else erf(z)))
         out_vals = x * phi
-        dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
         def bwd(g):
-            self._accumulate(g * (phi + x * dens))
+            # d/dx x*Phi(x) = Phi(x) + x * exp(-x^2/2) / sqrt(2 pi)
+            d = -0.5 * x * x
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            d *= x
+            d += phi
+            d *= g
+            self._accumulate(d)
 
         return Tensor._make(out_vals, (self,), bwd)
 
@@ -414,13 +452,40 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor._make(out_vals, tuple(tensors), bwd)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Max of each last-axis row, keepdims. Folding the rows in halves is
+    faster than numpy's reduction over short last axes, and a max is exact
+    in any order; np.maximum propagates NaN, as a reduction does."""
+    m = x
+    while m.shape[-1] > 1:
+        h = m.shape[-1] // 2
+        folded = np.maximum(m[..., :h], m[..., h : 2 * h])
+        if m.shape[-1] % 2:
+            folded[..., :1] = np.maximum(folded[..., :1], m[..., -1:])
+        m = folded
+    return m
+
+
+def _shifted_rows(x: np.ndarray, what: str) -> np.ndarray:
+    """`x` minus its row max, in a new array. A NaN anywhere in a row makes
+    that row's max NaN, so checking the maxima finds every NaN input."""
+    row_max = _row_max(x)
+    if np.isnan(row_max).any():
+        raise NumericError(f"{what} of NaN input")
+    return x - row_max
+
+
+def _softmax(x: np.ndarray, what: str) -> np.ndarray:
+    """Stabilized softmax of each last-axis row, in a new array."""
+    e = _shifted_rows(x, what)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Numerically stabilized softmax along the last axis."""
-    if np.any(np.isnan(x.values)):
-        raise NumericError("softmax of NaN input")
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_vals = e / e.sum(axis=-1, keepdims=True)
+    out_vals = _softmax(x.values, "softmax")
 
     def bwd(g):
         dot = (g * out_vals).sum(axis=-1, keepdims=True)
@@ -431,9 +496,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def log_softmax_rows(x: Tensor) -> Tensor:
     """log(softmax) along the last axis, computed stably."""
-    if np.any(np.isnan(x.values)):
-        raise NumericError("log_softmax of NaN input")
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
+    shifted = _shifted_rows(x.values, "log_softmax")
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_vals = shifted - lse
     soft = np.exp(out_vals)
@@ -442,6 +505,76 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         x._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
 
     return Tensor._make(out_vals, (x,), bwd)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each last-axis row of `x` to zero mean and unit variance
+    (eps 1e-6), then scale by `gamma` and shift by `beta`, both of shape
+    (D,). One node: its values equal those of the primitive-op chain
+    ((x - mean) / sqrt(var + eps) * gamma + beta) bit for bit, and its
+    backward is the closed form
+    dx = (g gamma - mean(g gamma) - xhat mean(g gamma xhat)) / std."""
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeMismatchError(f"layer_norm of rows of {d} needs gamma and beta of shape ({d},): {gamma.shape}, {beta.shape}")
+    inv_d = 1.0 / d
+    vals = x.values
+    xhat = vals - vals.sum(axis=-1, keepdims=True) * inv_d
+    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_d + 1e-6)
+    xhat /= std
+    out_vals = xhat * gamma.values + beta.values
+    xhat2, std2 = xhat.reshape(-1, d), std.reshape(-1, 1)
+
+    def bwd(g):
+        # Sums over rows and over each row as matrix-vector products, which
+        # are several times faster than numpy's reductions at these sizes.
+        g2 = g.reshape(-1, d)
+        ones = np.ones(g2.shape[0], dtype=g2.dtype)
+        gx = g2 * xhat2
+        beta._accumulate(ones @ g2)
+        gamma._accumulate(ones @ gx)
+        gamma_d = gamma.values * inv_d
+        mean_g = g2 @ gamma_d
+        np.multiply(xhat2, (gx @ gamma_d)[:, None], out=gx)
+        gx += mean_g[:, None]
+        dx = g2 * gamma.values
+        dx -= gx
+        dx /= std2
+        x._accumulate(dx.reshape(x.shape))
+
+    return Tensor._make(out_vals, (x, gamma, beta), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(scale * q @ k^T) @ v over the last two axes of (..., T, E)
+    tensors of one shape; leading axes are batch axes. One node: its values
+    equal those of matmul, scale, softmax_rows and matmul bit for bit, and
+    NaN scores raise NumericError as softmax_rows does."""
+    if not q.shape == k.shape == v.shape:
+        raise ShapeMismatchError(f"attention needs q, k and v of one shape: {q.shape}, {k.shape}, {v.shape}")
+    scale = float(scale)
+    q_vals, k_vals, v_vals = q.values, k.values, v.values
+    scores = np.matmul(q_vals, np.swapaxes(k_vals, -1, -2))
+    scores *= scale
+    probs = _softmax(scores, "attention softmax")
+    out_vals = np.matmul(probs, v_vals)
+
+    def bwd(g):
+        v._accumulate(np.matmul(np.swapaxes(probs, -1, -2), g))
+        # dscores = probs * (g v^T - rowsum(g v^T * probs)), and that row sum
+        # is rowsum(g * out), a far smaller product, summed by a GEMV.
+        g_out = (g * out_vals).reshape(-1, g.shape[-1])
+        ds = np.matmul(g, np.swapaxes(v_vals, -1, -2))
+        ds -= (g_out @ np.ones(g.shape[-1], dtype=g_out.dtype)).reshape(ds.shape[:-1] + (1,))
+        ds *= probs
+        dq = np.matmul(ds, k_vals)
+        dq *= scale
+        dk = np.matmul(np.swapaxes(ds, -1, -2), q_vals)
+        dk *= scale
+        q._accumulate(dq)
+        k._accumulate(dk)
+
+    return Tensor._make(out_vals, (q, k, v), bwd)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:

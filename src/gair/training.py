@@ -24,7 +24,7 @@ from .tensor import Tensor, backward
 __all__ = ["TrainConfig", "AdamW", "Model", "lr_at", "train_step", "train", "save_checkpoint", "load_checkpoint"]
 
 CKPT_MAGIC = b"GAIRCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # version 1 files, hashed with the old config_hash expression, still load
 _MODEL_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -202,9 +202,17 @@ def train_step(model: Model, batch: TripleBatch, bank: MemoryBank, optimizer: Ad
     }
 
 
-def config_hash(model: Model, config: TrainConfig) -> str:
-    """The checkpoint header's short hash of the model and training configs."""
-    return hashlib.sha256(json.dumps({**model.configs(), **asdict(config)}, sort_keys=True).encode()).hexdigest()[:16]
+def config_hash(model: Model, config: TrainConfig, version: int = CKPT_VERSION) -> str:
+    """The checkpoint header's short hash of the model and training configs.
+
+    Version 1 hashed the two dicts merged into one, where the training seed
+    overwrote the model seed, so the hash did not cover the model seed.
+    """
+    if version == 1:
+        configs = {**model.configs(), **asdict(config)}
+    else:
+        configs = {"model": model.configs(), "train": asdict(config)}
+    return hashlib.sha256(json.dumps(configs, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_step=0, metrics_fh=None, checkpoint_dir=None):
@@ -300,7 +308,7 @@ def load_checkpoint(path) -> dict:
     if len(raw) < 20:
         raise FormatError("checkpoint truncated in its preamble", offset=len(raw))
     version, header_len = struct.unpack_from("<IQ", raw, 8)
-    if version != CKPT_VERSION:
+    if version not in (1, CKPT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version}")
     header_end = 20 + header_len
     try:
@@ -320,7 +328,7 @@ def load_checkpoint(path) -> dict:
         config = TrainConfig(**header["train_config"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed config in checkpoint header: {exc}") from None
-    if header["config_hash"] != config_hash(model, config):
+    if header["config_hash"] != config_hash(model, config, version):
         raise FormatError("checkpoint config_hash does not match its configs")
 
     params = model.parameters()

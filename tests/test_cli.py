@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gair.cli import main
+from gair.training import load_checkpoint
 
 TINY_DATA = {
     "count": 12,
@@ -145,6 +146,19 @@ class TestPretrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+
+    def test_rff_sigma_min_reaches_the_model(self, tmp_path, workspace, monkeypatch):
+        from gair import cli
+
+        built = []
+        build_model = cli.build_model
+        monkeypatch.setattr(cli, "build_model", lambda *a, **kw: built.append(kw) or build_model(*a, **kw))
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(out), "--rff-sigma-min", "2.5"]) == 0
+        assert len(built) == 1 and built[0]["rff_sigma_min"] == 2.5
+        model = load_checkpoint(str(out / "checkpoint.bin"))["model"]
+        assert model.loc.config.sigma_min == 2.5 and model.loc.config.sigma == 10.0
 
     def test_unknown_schedule_in_config_is_usage_error(self, tmp_path, workspace, capsys):
         cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN, "schedule": "bogus"})

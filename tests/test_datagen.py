@@ -257,6 +257,24 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"record 2.*at byte offset {start}"):
             read_dataset(manifest_path)
 
+    @pytest.mark.parametrize("field, value", [("lon", math.nan), ("lat", math.inf), ("lat", -math.inf), ("lon", "past_edge")],
+                             ids=["nan-lon", "inf-lat", "minus-inf-lat", "lon-outside-footprint"])
+    def test_location_outside_footprint_is_format_error(self, tmp_path, field, value):
+        cfg = small_cfg()
+        recs = generate_records(cfg)
+        manifest_path = write_dataset(recs, tmp_path / "ds", cfg)
+        if value == "past_edge":  # just east of the footprint, still inside the region
+            value = recs[4].footprint.lon_max + 1e-6
+        blob = tmp_path / "ds" / "data.blob"
+        data = bytearray(blob.read_bytes())
+        dtype = _record_dtype(cfg)
+        start = len(BLOB_MAGIC) + 4 * dtype.itemsize
+        at = start + dtype.fields[field][1]
+        data[at : at + 8] = struct.pack("<d", value)
+        blob.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"record 4: location .* outside its footprint.*at byte offset {start}"):
+            read_dataset(manifest_path)
+
     def test_failed_blob_write_leaves_no_manifest(self, tmp_path, monkeypatch, full_disk):
         cfg = small_cfg()
         recs = generate_records(cfg)

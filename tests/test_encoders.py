@@ -182,3 +182,19 @@ class TestLocationEncoder:
             return enc.encode(lonlat).sum()
 
         assert grad_check(loss, tensors, tolerance=1e-4).passed
+
+    def test_multiscale_rows_are_geometric_between_the_bounds(self):
+        cfg = LocEncoderConfig(freqs=64, sigma=1000.0, sigma_min=100.0, hidden=16, dim=8)
+        enc = LocationEncoder(cfg, np.random.default_rng(6))
+        draws = np.random.default_rng(6).normal(0.0, 1.0, (cfg.freqs, 2))  # B's unit-scale draws
+        scales = enc.B / draws
+        assert np.allclose(scales[:, 0], scales[:, 1], rtol=1e-12)
+        row_scale = scales[:, 0]
+        assert math.isclose(row_scale[0], 100.0, rel_tol=1e-12) and math.isclose(row_scale[-1], 1000.0, rel_tol=1e-12)
+        ratios = row_scale[1:] / row_scale[:-1]
+        assert np.allclose(ratios, 10.0 ** (1.0 / (cfg.freqs - 1)), rtol=1e-12)
+
+    def test_single_scale_when_sigma_min_is_unset(self):
+        cfg = LocEncoderConfig(freqs=16, sigma=1000.0, hidden=16, dim=8)
+        enc = LocationEncoder(cfg, np.random.default_rng(6))
+        assert np.allclose(enc.B, 1000.0 * np.random.default_rng(6).normal(0.0, 1.0, (cfg.freqs, 2)), rtol=1e-12)

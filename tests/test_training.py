@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import struct
 
@@ -243,7 +245,8 @@ class TestTrainStep:
         model = tiny_model()
         nodes, _ = self.recorded_step(model, monkeypatch)
         constants = [n for n in nodes if not n.requires_grad]
-        assert len(constants) > 10
+        # The RS and SV patches, the RFF features, the INR blend weights and the bank snapshot.
+        assert len(constants) >= 5
         assert all(not n._parents for n in constants)
         assert [n.grad for n in constants] == [None] * len(constants)
         params = {id(p) for p in model.parameters().values()}
@@ -426,12 +429,43 @@ class TestCheckpoint:
         (lambda h: h.update(step=-1), "step"),
         (lambda h: h.update(config_hash="0" * 16), "config_hash"),
         (lambda h: h["train_config"].update(grad_clip=1.0), "config_hash"),
+        (lambda h: h["model"].update(seed=12345), "config_hash"),
     ], ids=["str-offset", "negative-offset", "overlapping-offset", "str-shape", "negative-dim", "wrong-shape",
-            "wrong-bank-shape", "arrays-not-list", "str-adam-t", "str-step", "negative-step", "wrong-hash", "edited-config"])
+            "wrong-bank-shape", "arrays-not-list", "str-adam-t", "str-step", "negative-step", "wrong-hash", "edited-config",
+            "edited-model-seed"])
     def test_malformed_header_is_format_error(self, tmp_path, edit_checkpoint_header, edit, match):
         _, _, _, _, path = self.run_short(tmp_path)
         edit_checkpoint_header(path, edit)
         with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    @staticmethod
+    def relabel_as_version_1(path, config_hash):
+        """Rewrite a checkpoint as a version-1 file carrying `config_hash`."""
+        raw = path.read_bytes()
+        header_len = struct.unpack_from("<Q", raw, 12)[0]
+        header = json.loads(raw[20 : 20 + header_len])
+        header.update(version=1, config_hash=config_hash(header))
+        body = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(body)) + body + raw[20 + header_len :])
+
+    def test_version_1_checkpoint_still_loads(self, tmp_path):
+        model, _, _, cfg, path = self.run_short(tmp_path)
+
+        def merged_hash(header):  # version 1's expression: the training seed overwrites the model seed
+            merged = {**header["model"], **header["train_config"]}
+            return hashlib.sha256(json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
+
+        self.relabel_as_version_1(path, merged_hash)
+        loaded = load_checkpoint(path)
+        assert loaded["header"]["version"] == 1 and loaded["model"].seed == model.seed
+        params = model.parameters()
+        assert all(np.array_equal(p.values, params[n].values) for n, p in loaded["model"].parameters().items())
+
+    def test_version_1_checkpoint_with_version_2_hash_is_format_error(self, tmp_path):
+        _, _, _, _, path = self.run_short(tmp_path)
+        self.relabel_as_version_1(path, lambda header: header["config_hash"])
+        with pytest.raises(FormatError, match="config_hash"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [0, 9, 19])
