@@ -6,26 +6,31 @@ Run:  python3 demos/01_autodiff_and_gradcheck.py
 
 import numpy as np
 
-from gair.tensor import Tensor, backward, grad_check, l2_normalize_rows, matmul, softmax_rows
+from gair.tensor import Tensor, backward, enable_grad, grad_check, l2_normalize_rows, matmul, softmax_rows
 
 rng = np.random.default_rng(0)
 
-# A Tensor wraps a dense numpy array and remembers how it was computed.
+# A Tensor wraps a dense numpy array.
 x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
-# Forward: a little network ending in a scalar.
-h = matmul(x, w).gelu()
-p = softmax_rows(h)
-loss = (p * p).sum()
-print("loss =", float(loss.values))
+# Forward: a little network ending in a scalar. Inside enable_grad() each
+# result remembers how it was computed; outside, the same ops give the same
+# values and keep no graph, which is all an inference pass needs.
+with enable_grad():
+    h = matmul(x, w).gelu()
+    p = softmax_rows(h)
+    loss = (p * p).sum()
+print("loss =", float(loss.values), "| parents recorded:", len(loss._parents))
+print("the same op outside enable_grad(), parents recorded:", len(matmul(x, w).gelu()._parents))
 
 # Reverse-mode sweep: every requires_grad leaf receives d loss / d leaf.
 backward(loss)
 print("dloss/dw:\n", w.grad)
 
 # The same machinery audited against central differences. grad_check
-# perturbs each input component by h = 1e-6 * max(1, |x|) and compares.
+# records the graph for its analytic pass only, then perturbs each input
+# component by h = 1e-6 * max(1, |x|) and compares.
 report = grad_check(
     lambda a, b: (softmax_rows(matmul(a, b).gelu()) * l2_normalize_rows(matmul(a, b))).sum(),
     [Tensor(rng.normal(size=(4, 3)), requires_grad=True),

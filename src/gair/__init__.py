@@ -8,7 +8,7 @@ generator, and a reproducible training and evaluation stack, all on a
 small numpy reverse-mode autodiff engine.
 """
 
-from .tensor import Tensor, backward, grad_check
+from .tensor import Tensor, backward, enable_grad, grad_check
 from .geo import GeoPoint, GeoFootprint, LocalCoord, to_local, from_local, patch_center, equal_earth
 from .encoders import EncoderConfig, LocEncoderConfig, ImageEncoder, LocationEncoder, rff_features
 from .inr import FThetaParams, unfold3x3, ensemble_weights, f_theta, inr_query, inr_query_batch

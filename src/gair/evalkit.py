@@ -12,7 +12,7 @@ import numpy as np
 
 from .geo import GeoFootprint, GeoPoint
 from .inr import inr_query_batch
-from .tensor import Tensor, backward, log_softmax_rows, matmul
+from .tensor import Tensor, backward, enable_grad, log_softmax_rows, matmul
 from .training import AdamW, TrainConfig
 
 __all__ = [
@@ -107,12 +107,13 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
         for s in range(0, len(x_tr), batch_size):
             idx = perm[s : s + batch_size]
             xb = Tensor(x_tr[idx].astype(np.float64))
-            logits = head.logits(xb)
-            if task == "classification":
-                loss = -log_softmax_rows(logits)[np.arange(len(idx)), y_tr[idx].astype(int)].mean()
-            else:
-                diff = logits.reshape(len(idx)) - Tensor(y_tr[idx].astype(np.float64))
-                loss = (diff * diff).mean()
+            with enable_grad():
+                logits = head.logits(xb)
+                if task == "classification":
+                    loss = -log_softmax_rows(logits)[np.arange(len(idx)), y_tr[idx].astype(int)].mean()
+                else:
+                    diff = logits.reshape(len(idx)) - Tensor(y_tr[idx].astype(np.float64))
+                    loss = (diff * diff).mean()
             optimizer.zero_grad()
             backward(loss)
             optimizer.step(lr)

@@ -1,9 +1,17 @@
 """Dense-tensor arithmetic with reverse-mode automatic differentiation.
 
-Small numpy-backed engine: each op records its parents and a closure that
-accumulates gradients into them. Enough to express patch-based image
-encoders, a location MLP, continuous feature interpolation, and InfoNCE
-losses, and to validate every backward rule against finite differences.
+Small numpy-backed engine: enough to express patch-based image encoders, a
+location MLP, continuous feature interpolation, and InfoNCE losses, and to
+validate every backward rule against finite differences.
+
+The graph is opt-in. Inside `with enable_grad():` an op whose parent
+requires grad records its parents and a closure that accumulates gradients
+into them. Outside, every op computes the same values, bit for bit, and
+keeps neither, so forward-only passes (embedding, heatmaps, probes'
+predictions) hold no graph. Two checks keep the default from failing
+silently: `backward` rejects a root with no recorded graph, and an op
+inside `enable_grad()` rejects a parent computed outside it from tensors
+that require grad, whose gradient would otherwise stop there.
 
 The transformer's hot ops are fused: `layer_norm`, `attention` (scores,
 softmax and mix) and `Tensor.gelu` are each one graph node with a
@@ -23,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,7 @@ __all__ = [
     "DomainError",
     "NumericError",
     "ContractError",
+    "enable_grad",
     "concat",
     "matmul",
     "softmax_rows",
@@ -65,15 +75,18 @@ class ContractError(RuntimeError):
 
 
 def _keep_freed_heap():
-    """Stop glibc from handing each freed graph back to the OS.
+    """Stop glibc from handing freed arrays back to the OS after each call.
 
-    A forward pass keeps its whole graph alive and frees it at once: about
-    90 MB for a batch of 64 at the acceptance size. By default glibc returns
-    a free heap top larger than at most 64 MB to the OS, so whether the next
-    batch page-faults all of that memory in again depends on where a few
-    surviving arrays happen to land. With fixed thresholds the freed memory
-    is reused by every batch. MALLOC_* variables set by the user take
-    precedence; C libraries without mallopt are left alone.
+    Inference on a large mesh allocates and frees tens of MB of arrays per
+    call: `heatmap_loc` on 10^4 points and `heatmap_inr` on 1260 queries
+    (and each `train_step` frees its graph, about 90 MB at batch 64). By
+    default glibc maps a block above a dynamic threshold of its own and
+    returns a free heap top above twice that threshold to the OS, so the
+    next call page-faults the same memory in again: without this call such
+    a heatmap pair takes about 5900 page faults instead of 300, and
+    `heatmap_inr` runs about 45% slower. With fixed thresholds the freed
+    memory is reused by the next call. MALLOC_* variables set by the user
+    take precedence; C libraries without mallopt are left alone.
     """
     if any(k.startswith("MALLOC_") for k in os.environ):
         return
@@ -87,6 +100,23 @@ def _keep_freed_heap():
 
 
 _keep_freed_heap()
+
+_grad_enabled = False
+
+
+@contextmanager
+def enable_grad():
+    """Record the autodiff graph for the ops run inside the block.
+
+    Nests, and restores the previous state on exit, also on an exception.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, True
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
 
 # Plain Python floats: under NEP 50 a numpy float64 scalar would promote
 # float32 activations to float64.
@@ -148,7 +178,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A node in the differentiation graph, wrapping a dense float array."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "_untracked")
 
     def __init__(self, values, requires_grad=False, dtype=None):
         arr = np.asarray(values)
@@ -161,6 +191,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        # Computed outside enable_grad() from tensors that require grad.
+        self._untracked = False
 
     @property
     def shape(self):
@@ -205,9 +237,15 @@ class Tensor:
 
     @staticmethod
     def _make(values, parents, backward):
-        # A node joins the graph iff a parent requires grad, so it does too.
+        # Inside enable_grad(), a node joins the graph iff a parent requires
+        # grad, so it does too. Outside, it records nothing.
         out = Tensor(values)
-        if any(p.requires_grad for p in parents):
+        if not _grad_enabled:
+            out._untracked = any(p.requires_grad or p._untracked for p in parents)
+        elif any(p._untracked for p in parents):
+            raise ContractError("an input was computed outside enable_grad() from tensors that require grad; "
+                                "no gradient would reach them, so compute it inside the block")
+        elif any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -298,16 +336,6 @@ class Tensor:
 
         def bwd(g):
             self._accumulate(g * out_vals)
-
-        return Tensor._make(out_vals, (self,), bwd)
-
-    def sqrt(self):
-        if np.any(self.values < 0.0):
-            raise DomainError("sqrt of negative input")
-        out_vals = np.sqrt(self.values)
-
-        def bwd(g):
-            self._accumulate(g / (2.0 * out_vals))
 
         return Tensor._make(out_vals, (self,), bwd)
 
@@ -617,9 +645,13 @@ def gather_cells(grid: Tensor, rows, cols) -> Tensor:
 
 
 def backward(root: Tensor):
-    """Reverse-accumulate gradients from a scalar root through the graph."""
+    """Reverse-accumulate gradients from a scalar root through the graph
+    recorded inside `enable_grad()`."""
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+    if not root.requires_grad:
+        raise ContractError("backward root has no recorded graph: compute it inside enable_grad() "
+                            "from tensors that require grad")
     order = []
     seen = set()
     stack = [(root, False)]
@@ -658,14 +690,15 @@ def grad_check(fn, inputs, tolerance=1e-4, op_name="fn", zero_floor=1e-7) -> Gra
     `zero_floor` are counted as matching: central differences of a constant
     direction only return float cancellation noise (~1e-9), which would
     otherwise swamp the 1e-8 denominator floor for structurally zero
-    gradients.
+    gradients. Only the analytic pass records a graph.
     """
     for t in inputs:
         if t.dtype != np.float64:
             raise ContractError("grad_check requires 64-bit inputs")
         t.zero_grad()
         t.requires_grad = True
-    out = fn(*inputs)
+    with enable_grad():
+        out = fn(*inputs)
     backward(out)
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.values) for t in inputs]
 

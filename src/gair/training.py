@@ -19,7 +19,7 @@ from .encoders import EncoderConfig, ImageEncoder, LocEncoderConfig, LocationEnc
 from .errors import FormatError, _replacing, require_keys
 from .inr import FThetaParams, inr_query_batch, unfold3x3
 from .objectives import LossConfig, MemoryBank, combined_loss, incl_loss, secl_loss
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, enable_grad
 
 __all__ = ["TrainConfig", "AdamW", "Model", "lr_at", "train_step", "train", "save_checkpoint", "load_checkpoint"]
 
@@ -181,12 +181,13 @@ def train_step(model: Model, batch: TripleBatch, bank: MemoryBank, optimizer: Ad
     the bank after the loss is computed."""
     t0 = time.perf_counter()
     optimizer.zero_grad()
-    z_q = model.localized_rs(batch.rs, batch.local_uv)
-    g_s = model.sv.encode_pooled(batch.sv)
-    e_x = model.loc.encode(batch.lonlat)
-    incl = incl_loss(z_q, g_s, config.loss.tau)
-    secl = secl_loss(e_x, z_q, g_s, bank, config.loss.tau)
-    total = combined_loss(incl, secl, config.loss.lambda_secl)
+    with enable_grad():
+        z_q = model.localized_rs(batch.rs, batch.local_uv)
+        g_s = model.sv.encode_pooled(batch.sv)
+        e_x = model.loc.encode(batch.lonlat)
+        incl = incl_loss(z_q, g_s, config.loss.tau)
+        secl = secl_loss(e_x, z_q, g_s, bank, config.loss.tau)
+        total = combined_loss(incl, secl, config.loss.lambda_secl)
     backward(total)
     grad_norm = _clip_gradients(optimizer.params, config.grad_clip)
     loc_norm = _grad_norm(model.loc.params.values())

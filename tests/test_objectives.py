@@ -12,7 +12,7 @@ from gair.objectives import (
     secl_loss,
     sim_matrix,
 )
-from gair.tensor import ContractError, Tensor, backward, grad_check, l2_normalize_rows
+from gair.tensor import ContractError, Tensor, backward, enable_grad, grad_check, l2_normalize_rows
 
 
 def unit_rows(rng, n, d):
@@ -178,7 +178,8 @@ class TestSeclLoss:
         bank = MemoryBank(capacity=16)
         bank.push(unit_rows(rng, 8, d))
         before = bank.snapshot().copy()
-        backward(secl_loss(e_x, z_q, g_s, bank, tau=0.1))
+        with enable_grad():
+            backward(secl_loss(e_x, z_q, g_s, bank, tau=0.1))
         assert e_x.grad is not None and z_q.grad is not None and g_s.grad is not None
         assert np.array_equal(bank.snapshot(), before)
 

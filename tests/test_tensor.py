@@ -13,6 +13,7 @@ from gair.tensor import (
     attention,
     backward,
     concat,
+    enable_grad,
     gather_cells,
     grad_check,
     l2_normalize_rows,
@@ -53,8 +54,9 @@ class TestMatmul:
         rng = np.random.default_rng(3)
         a, b = t64(rng.normal(size=(3, 4, 5))), t64(rng.normal(size=(5, 2)))
         g = rng.normal(size=(3, 4, 2))
-        out = matmul(a, b)
-        backward((out * Tensor(g)).sum())
+        with enable_grad():
+            out = matmul(a, b)
+            backward((out * Tensor(g)).sum())
         assert np.allclose(out.values, np.stack([a.values[i] @ b.values for i in range(3)]), rtol=1e-12, atol=1e-12)
         assert np.allclose(a.grad, np.stack([g[i] @ b.values.T for i in range(3)]), rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, sum(a.values[i].T @ g[i] for i in range(3)), rtol=1e-12, atol=1e-12)
@@ -85,7 +87,8 @@ class TestGatherCells:
         grid = t64(np.zeros((2, 2, 2, 3)))
         rows = np.array([[0, 0, 1, 1], [1, 1, 1, 1]])
         cols = np.array([[0, 0, 1, 0], [1, 1, 1, 1]])
-        backward(gather_cells(grid, rows, cols).sum())
+        with enable_grad():
+            backward(gather_cells(grid, rows, cols).sum())
         expected = np.zeros((2, 2, 2, 3))
         expected[0, 0, 0], expected[0, 1, 1], expected[0, 1, 0], expected[1, 1, 1] = 2.0, 1.0, 1.0, 4.0
         assert np.array_equal(grid.grad, expected)
@@ -99,10 +102,6 @@ class TestElementwise:
         out = concat([t64([1.0, 2.0]), t64([3.0])], axis=0)
         assert np.array_equal(out.values, [1, 2, 3])
 
-    def test_sqrt_negative_raises(self):
-        with pytest.raises(DomainError):
-            t64([-1.0]).sqrt()
-
     def test_division_by_exact_zero_raises(self):
         with pytest.raises(DomainError):
             t64([1.0]) / t64([0.0])
@@ -113,7 +112,6 @@ class TestElementwise:
         ("mul", lambda a, b: (a * b).sum(), lambda rng: [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4,)))]),
         ("div", lambda a, b: (a / b).sum(), lambda rng: [t64(rng.normal(size=(3, 4))), t64(rng.uniform(0.5, 2, size=(4,)))]),
         ("exp", lambda a: a.exp().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
-        ("sqrt", lambda a: a.sqrt().sum(), lambda rng: [t64(rng.uniform(0.2, 3, size=(3, 4)))]),
         ("gelu", lambda a: a.gelu().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("neg", lambda a: (-a).exp().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("scale", lambda a: a.scale(2.5).exp().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
@@ -172,7 +170,7 @@ class TestFusedOps:
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / (var + 1e-6).sqrt() * gamma + beta
+        return centered / Tensor(np.sqrt((var + 1e-6).values)) * gamma + beta
 
     @staticmethod
     def heads(rng, dtype, shape=(3, 6, 2, 4)):
@@ -214,7 +212,9 @@ class TestFusedOps:
         rng = np.random.default_rng(24)
         x, gamma, beta = t64(rng.normal(size=(3, 5))), t64(rng.normal(size=5)), t64(rng.normal(size=5))
         q, k, v = (t64(rng.normal(size=(2, 3, 4))) for _ in range(3))
-        for out in (layer_norm(x, gamma, beta), attention(q, k, v, 0.5), x.gelu()):
+        with enable_grad():
+            outs = (layer_norm(x, gamma, beta), attention(q, k, v, 0.5), x.gelu())
+        for out in outs:
             g = rng.normal(size=out.shape)
             kept = g.copy()
             out._backward(g)
@@ -257,7 +257,8 @@ class TestFusedOps:
         grads = []
         for dtype in (np.float32, np.float64):
             t = Tensor(x, dtype=dtype, requires_grad=True)
-            backward(t.gelu().sum())
+            with enable_grad():
+                backward(t.gelu().sum())
             grads.append(t.grad)
         assert grads[0].dtype == np.float32
         assert np.allclose(grads[0], grads[1], rtol=0.0, atol=2e-6)
@@ -282,33 +283,39 @@ class TestL2Normalize:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = t64(np.arange(6.0).reshape(2, 3))
-        backward(x.sum())
+        with enable_grad():
+            backward(x.sum())
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_sum_of_squares(self):
         x = t64([1.0, -2.0, 3.0])
-        backward((x * x).sum())
+        with enable_grad():
+            backward((x * x).sum())
         assert np.allclose(x.grad, 2 * x.values)
 
     def test_fanout_accumulates(self):
         y = t64([5.0])
-        backward((y + y).sum())
+        with enable_grad():
+            backward((y + y).sum())
         assert np.array_equal(y.grad, [2.0])
 
     def test_n_fold_fanout(self):
         y = t64([1.5])
         acc = y
-        for _ in range(4):
-            acc = acc + y
-        backward(acc.sum())
+        with enable_grad():
+            for _ in range(4):
+                acc = acc + y
+            backward(acc.sum())
         assert np.array_equal(y.grad, [5.0])
 
     def test_repeated_index_accumulates_gradient(self):
         x = t64([1.0, 2.0, 3.0])
-        backward(x[np.array([0, 0, 2])].sum())
+        with enable_grad():
+            backward(x[np.array([0, 0, 2])].sum())
         assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
         y = t64(np.ones((2, 3)))
-        backward(y[np.array([1, 1, 0]), np.array([2, 2, 2])].sum())
+        with enable_grad():
+            backward(y[np.array([1, 1, 0]), np.array([2, 2, 2])].sum())
         assert np.array_equal(y.grad, [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
         report = grad_check(lambda a: (a[np.array([0, 0, 2])] * a[[2, 1, 2]]).sum(), [t64([0.5, -1.0, 2.0])])
         assert report.passed
@@ -316,10 +323,11 @@ class TestBackward:
     def test_constants_get_no_gradient(self):
         x = t64([1.0, 2.0, 3.0])
         c = t64([[4.0, 5.0, 6.0]], rg=False)
-        out = (x * c).sum()
-        backward(out)
-        assert c.grad is None and np.array_equal(x.grad, [4.0, 5.0, 6.0])
-        const = c * c
+        with enable_grad():
+            out = (x * c).sum()
+            backward(out)
+            assert c.grad is None and np.array_equal(x.grad, [4.0, 5.0, 6.0])
+            const = c * c
         assert not const.requires_grad and const._parents == ()
 
     def test_non_scalar_root_raises(self):
@@ -328,9 +336,66 @@ class TestBackward:
 
     def test_root_grad_is_one(self):
         x = t64([2.0])
-        root = (x * x).sum()
-        backward(root)
+        with enable_grad():
+            root = (x * x).sum()
+            backward(root)
         assert np.array_equal(root.grad, np.ones(()))
+
+
+class TestGraphRecording:
+    def test_ops_outside_enable_grad_record_nothing(self):
+        x = t64([1.0, -2.0, 3.0])
+        out = (x * x).exp().sum()
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        with enable_grad():
+            tracked = (x * x).exp().sum()
+        assert tracked._parents != () and tracked.requires_grad
+        assert np.array_equal(out.values, tracked.values)
+
+    def test_backward_on_untracked_root_raises(self):
+        x = t64([1.0, 2.0])
+        with pytest.raises(ContractError, match="no recorded graph"):
+            backward((x * x).sum())
+        with enable_grad():
+            constant = (t64([1.0, 2.0], rg=False) * 2.0).sum()
+        with pytest.raises(ContractError, match="no recorded graph"):
+            backward(constant)
+        assert x.grad is None
+
+    def test_untracked_intermediate_in_tracked_op_raises(self):
+        x = t64([1.0, 2.0])
+        h = (x * x).exp()  # computed outside from x, which requires grad
+        with enable_grad():
+            with pytest.raises(ContractError, match="outside enable_grad"):
+                h + x
+            with pytest.raises(ContractError, match="outside enable_grad"):
+                h.sum()
+            # Outside values of constants, and fresh leaves, are fine.
+            c = t64([3.0, 4.0], rg=False).exp()
+            backward((Tensor(h.values) * c * x).sum())
+        assert np.array_equal(x.grad, h.values * c.values)
+
+    def test_enable_grad_nests_and_restores_after_an_exception(self):
+        x = t64([1.0])
+
+        def recording():
+            return (x * x)._parents != ()
+
+        assert not recording()
+        with enable_grad():
+            with enable_grad():
+                assert recording()
+            assert recording()
+        assert not recording()
+        with pytest.raises(KeyError):
+            with enable_grad():
+                raise KeyError("inside")
+        assert not recording()
+
+    def test_grad_check_leaves_recording_off(self):
+        x = t64([0.5, 1.5])
+        assert grad_check(lambda a: (a * a).sum(), [x]).passed
+        assert (x * x)._parents == ()
 
 
 class TestGradCheck:
@@ -362,8 +427,9 @@ def test_forward_determinism():
 
     def run():
         x = t64(vals.copy())
-        out = (softmax_rows(matmul(x, x).gelu()) * x.exp()).sum()
-        backward(out)
+        with enable_grad():
+            out = (softmax_rows(matmul(x, x).gelu()) * x.exp()).sum()
+            backward(out)
         return out.values.copy(), x.grad.copy()
 
     v1, g1 = run()

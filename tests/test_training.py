@@ -1,17 +1,21 @@
+import contextlib
 import hashlib
 import json
 import math
 import struct
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from gair import training
+from gair.cli import build_model
 from gair.datagen import DataConfig, generate_records, make_batch
 from gair.encoders import EncoderConfig, LocEncoderConfig
 from gair.errors import FormatError
 from gair.objectives import LossConfig, MemoryBank
-from gair.tensor import Tensor, backward
+from gair.tensor import Tensor, backward, enable_grad
 from gair.training import (
     AdamW,
     Model,
@@ -169,6 +173,44 @@ class TestModel:
         assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-5)
 
 
+class TestForwardOnly:
+    """Outside enable_grad() the encoders record no graph and give the
+    values a recorded pass gives."""
+
+    @staticmethod
+    def embeddings(model, batch):
+        return (model.localized_rs(batch.rs, batch.local_uv), model.sv.encode_pooled(batch.sv),
+                model.loc.encode(batch.lonlat))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untracked_embeddings_equal_tracked(self, dtype):
+        model = tiny_model(dtype=dtype)
+        batch = make_batch(tiny_records(), list(range(6)), np.random.default_rng(0), augment=False)
+        untracked = self.embeddings(model, batch)
+        with enable_grad():
+            tracked = self.embeddings(model, batch)
+        for u, t in zip(untracked, tracked):
+            assert u._parents == () and u._backward is None and not u.requires_grad
+            assert t._parents != ()
+            assert u.dtype == dtype and np.array_equal(u.values, t.values)
+
+    def test_untracked_localized_rs_peaks_under_a_third_of_tracked(self):
+        cfg = DataConfig(count=64, seed=7)
+        model = build_model(asdict(cfg), seed=7)
+        batch = make_batch(generate_records(cfg), list(range(64)), np.random.default_rng(0), augment=False)
+
+        def peak(tracked):
+            tracemalloc.start()
+            try:
+                with enable_grad() if tracked else contextlib.nullcontext():
+                    model.localized_rs(batch.rs, batch.local_uv)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(False) < peak(True) / 3
+
+
 class TestTrainStep:
     def test_metrics_and_bank_growth(self):
         model = tiny_model()
@@ -254,13 +296,15 @@ class TestTrainStep:
 
     def test_shared_first_gradients_are_clipped_once(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        backward((x + x).sum())
+        with enable_grad():
+            backward((x + x).sum())
         assert np.array_equal(x.grad, [2.0, 2.0])
 
         a = Tensor(np.array([0.5, 1.5]), requires_grad=True)
         b = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         c = np.array([3.0, 4.0])
-        backward(((a + b) * Tensor(c)).sum())
+        with enable_grad():
+            backward(((a + b) * Tensor(c)).sum())
         assert np.shares_memory(a.grad, b.grad)  # both parents hold the one gradient array
         norm = _clip_gradients({"a": a, "b": b}, max_norm=1.0)
         assert norm == pytest.approx(math.sqrt(2 * 25.0))
