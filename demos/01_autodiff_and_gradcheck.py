@@ -1,38 +1,42 @@
-"""Tour of the tensor engine: build a tiny computation, differentiate it,
-and validate every gradient against finite differences.
+"""Tour of the tensor engine: build a tiny classifier loss, differentiate
+it, and validate every gradient against finite differences.
 
 Run:  python3 demos/01_autodiff_and_gradcheck.py
 """
 
 import numpy as np
 
-from gair.tensor import Tensor, backward, enable_grad, grad_check, l2_normalize_rows, matmul, softmax_rows
+from gair.tensor import Tensor, backward, cross_entropy, enable_grad, grad_check, l2_normalize_rows, matmul
 
 rng = np.random.default_rng(0)
 
 # A Tensor wraps a dense numpy array.
 x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+labels = np.array([0, 1, 1, 0])
 
-# Forward: a little network ending in a scalar. Inside enable_grad() each
-# result remembers how it was computed; outside, the same ops give the same
-# values and keep no graph, which is all an inference pass needs.
+# Forward: a little network ending in a softmax cross-entropy, the loss
+# behind both InfoNCE objectives and the classification probe. Inside
+# enable_grad() each result remembers how it was computed; outside, the
+# same ops give the same values and keep no graph, which is all an
+# inference pass needs.
 with enable_grad():
-    h = matmul(x, w).gelu()
-    p = softmax_rows(h)
-    loss = (p * p).sum()
+    logits = matmul(x, w).gelu()
+    loss = cross_entropy(logits, labels)
 print("loss =", float(loss.values), "| parents recorded:", len(loss._parents))
-print("the same op outside enable_grad(), parents recorded:", len(matmul(x, w).gelu()._parents))
+print("the same op outside enable_grad(), parents recorded:", len(cross_entropy(logits, labels)._parents))
 
 # Reverse-mode sweep: every requires_grad leaf receives d loss / d leaf.
+# cross_entropy's own backward is the closed form (softmax - onehot) / n.
 backward(loss)
+print("dloss/dlogits:\n", logits.grad)
 print("dloss/dw:\n", w.grad)
 
 # The same machinery audited against central differences. grad_check
 # records the graph for its analytic pass only, then perturbs each input
 # component by h = 1e-6 * max(1, |x|) and compares.
 report = grad_check(
-    lambda a, b: (softmax_rows(matmul(a, b).gelu()) * l2_normalize_rows(matmul(a, b))).sum(),
+    lambda a, b: cross_entropy(matmul(a, b).gelu() * l2_normalize_rows(matmul(a, b)), labels),
     [Tensor(rng.normal(size=(4, 3)), requires_grad=True),
      Tensor(rng.normal(size=(3, 2)), requires_grad=True)],
     tolerance=1e-4,

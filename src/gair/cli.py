@@ -202,10 +202,13 @@ def cmd_pretrain(args, file_cfg) -> int:
         model, optimizer, bank, start = state["model"], state["optimizer"], state["bank"], state["step"]
         cfg = state["config"]
     else:
-        dim = int(_merged(args, file_cfg, "dim", 64))
-        sigma = float(_merged(args, file_cfg, "rff_sigma", 1000.0))
-        sigma_min = float(_merged(args, file_cfg, "rff_sigma_min", 0.0))
-        model = build_model(manifest["config"], seed=cfg.seed, dim=dim, rff_sigma=sigma, rff_sigma_min=sigma_min)
+        try:
+            dim = int(_merged(args, file_cfg, "dim", 64))
+            sigma = float(_merged(args, file_cfg, "rff_sigma", 1000.0))
+            sigma_min = float(_merged(args, file_cfg, "rff_sigma_min", 0.0))
+            model = build_model(manifest["config"], seed=cfg.seed, dim=dim, rff_sigma=sigma, rff_sigma_min=sigma_min)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return _usage_error(f"bad model config: {exc}")
         optimizer = bank = None
         start = 0
 

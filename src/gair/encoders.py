@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import GeoPoint, equal_earth_rescaled_batch
+from .geo import equal_earth_rescaled_batch
 from .tensor import Tensor, attention, l2_normalize_rows, layer_norm, matmul
 
 __all__ = [
@@ -36,6 +36,9 @@ class EncoderConfig:
     ff_width: int = 128
 
     def __post_init__(self):
+        for name in ("channels", "image_size", "patch_size", "dim", "depth", "heads", "ff_width"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(f"image size {self.image_size} not divisible by patch size {self.patch_size}")
         if self.dim % self.heads != 0:
@@ -57,6 +60,13 @@ class LocEncoderConfig:
     sigma_min: float = 0.0  # smallest scale; <= 0 means single-scale at sigma
     hidden: int = 256
     dim: int = 64
+
+    def __post_init__(self):
+        for name in ("freqs", "hidden", "dim"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
+        if not self.sigma > 0.0:
+            raise ValueError(f"sigma must be positive, not {self.sigma!r}")
 
 
 class ImageEncoder:
@@ -196,6 +206,3 @@ class LocationEncoder:
         h = (matmul(feats, self._p("mlp.w1")) + self._p("mlp.b1")).gelu()
         out = matmul(h, self._p("mlp.w2")) + self._p("mlp.b2")
         return l2_normalize_rows(out)
-
-    def encode_point(self, p: GeoPoint) -> Tensor:
-        return self.encode(np.array([[p.lon, p.lat]]))[0]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geo import GeoFootprint, GeoPoint
 from .inr import inr_query_batch
-from .tensor import Tensor, backward, enable_grad, log_softmax_rows, matmul
+from .tensor import Tensor, backward, cross_entropy, enable_grad, matmul
 from .training import AdamW, TrainConfig
 
 __all__ = [
@@ -54,9 +54,7 @@ class ProbeHead:
     def logits(self, x: Tensor) -> Tensor:
         if self.kind == "linear":
             return matmul(x, self.params["w"]) + self.params["b"]
-        h = matmul(x, self.params["w1"]) + self.params["b1"]
-        # sigmoid via exp: 1 / (1 + e^-x)
-        h = Tensor(np.ones(1, dtype=x.dtype)) / ((-h).exp() + 1.0)
+        h = (matmul(x, self.params["w1"]) + self.params["b1"]).gelu()
         return matmul(h, self.params["w2"]) + self.params["b2"]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -110,7 +108,7 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
             with enable_grad():
                 logits = head.logits(xb)
                 if task == "classification":
-                    loss = -log_softmax_rows(logits)[np.arange(len(idx)), y_tr[idx].astype(int)].mean()
+                    loss = cross_entropy(logits, y_tr[idx].astype(int))
                 else:
                     diff = logits.reshape(len(idx)) - Tensor(y_tr[idx].astype(np.float64))
                     loss = (diff * diff).mean()

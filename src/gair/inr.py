@@ -29,7 +29,6 @@ __all__ = [
     "unfold3x3",
     "ensemble_weights",
     "f_theta",
-    "inr_query",
     "inr_query_batch",
     "bilinear_oracle",
 ]
@@ -171,14 +170,6 @@ def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray,
     blended = (corners * Tensor(geom.weights[:, :, None].astype(dtype))).sum(axis=1)
     out = matmul(blended, params.weight[: unfolded.shape[-1]]) + params.bias
     return l2_normalize_rows(out) if normalize else out
-
-
-def inr_query(params: FThetaParams, unfolded: Tensor, query, normalize: bool = True) -> Tensor:
-    """Single-sample convenience wrapper; unfolded (P, P, 9D), query LocalCoord."""
-    u, v = (query.u, query.v) if hasattr(query, "u") else (query[0], query[1])
-    batched = unfolded.reshape((1,) + unfolded.shape)
-    out = inr_query_batch(params, batched, np.array([[u, v]]), normalize=normalize)
-    return out[0]
 
 
 def bilinear_oracle(grid: np.ndarray, queries: np.ndarray) -> np.ndarray:

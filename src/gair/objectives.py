@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, Tensor, concat, log_softmax_rows, matmul
+from .tensor import ContractError, Tensor, concat, cross_entropy, matmul
 
 __all__ = ["LossConfig", "MemoryBank", "sim_matrix", "incl_loss", "secl_loss", "combined_loss"]
 
@@ -93,20 +93,13 @@ def sim_matrix(a: Tensor, b: Tensor) -> Tensor:
     return matmul(a, b.transpose())
 
 
-def _diag_nll(logits: Tensor) -> Tensor:
-    """Mean over rows of -log softmax at the diagonal entry."""
-    rows = np.arange(logits.shape[0])
-    return -log_softmax_rows(logits)[rows, rows].mean()
-
-
 def incl_loss(z_q: Tensor, g_s: Tensor, tau: float) -> Tensor:
     """Symmetric InfoNCE between matched localized-RS and SV embeddings."""
     if z_q.shape[0] == 0:
         raise ValueError("empty batch")
     logits = sim_matrix(z_q, g_s).scale(1.0 / tau)
-    forward = _diag_nll(logits)
-    reverse = _diag_nll(logits.transpose())
-    return (forward + reverse).scale(0.5)
+    matched = np.arange(z_q.shape[0])
+    return (cross_entropy(logits, matched) + cross_entropy(logits.transpose(), matched)).scale(0.5)
 
 
 def secl_loss(e_x: Tensor, z_q: Tensor, g_s: Tensor, bank: MemoryBank, tau: float) -> Tensor:
@@ -126,7 +119,8 @@ def secl_loss(e_x: Tensor, z_q: Tensor, g_s: Tensor, bank: MemoryBank, tau: floa
         candidates = concat([e_x, Tensor(stored.astype(e_x.dtype))], axis=0)
     logits_rs = sim_matrix(z_q, candidates).scale(1.0 / tau)
     logits_sv = sim_matrix(g_s, candidates).scale(1.0 / tau)
-    return (_diag_nll(logits_rs) + _diag_nll(logits_sv)).scale(0.5)
+    matched = np.arange(n)
+    return (cross_entropy(logits_rs, matched) + cross_entropy(logits_sv, matched)).scale(0.5)
 
 
 def combined_loss(incl: Tensor, secl: Tensor, lambda_secl: float) -> Tensor:

@@ -1,8 +1,9 @@
 """Dense-tensor arithmetic with reverse-mode automatic differentiation.
 
-Small numpy-backed engine: enough to express patch-based image encoders, a
-location MLP, continuous feature interpolation, and InfoNCE losses, and to
-validate every backward rule against finite differences.
+Small numpy-backed engine holding exactly the ops the model runs: the
+patch-transformer encoders, the location MLP, the continuous feature
+lookup and the contrastive losses, each validated against finite
+differences.
 
 The graph is opt-in. Inside `with enable_grad():` an op whose parent
 requires grad records its parents and a closure that accumulates gradients
@@ -13,11 +14,11 @@ silently: `backward` rejects a root with no recorded graph, and an op
 inside `enable_grad()` rejects a parent computed outside it from tensors
 that require grad, whose gradient would otherwise stop there.
 
-The transformer's hot ops are fused: `layer_norm`, `attention` (scores,
-softmax and mix) and `Tensor.gelu` are each one graph node with a
-closed-form backward. The forward values of `layer_norm` and `attention`
-equal those of their primitive-op chains bit for bit, in float32 and
-float64.
+Where the math has a closed form it is one node: `layer_norm`,
+`attention` (scores, softmax and mix), `Tensor.gelu` and `cross_entropy`
+(every softmax loss: both InfoNCE objectives and the classification
+probe). `matmul` takes only a (K, E) right-hand side, which every weight
+and similarity product is, and runs as one 2-D GEMM.
 
 Dtype contract: an op computes in the dtype of its inputs. GELU's erf is
 the one place the two dtypes differ in method: float64 takes
@@ -41,14 +42,12 @@ __all__ = [
     "Tensor",
     "GradCheckReport",
     "ShapeMismatchError",
-    "DomainError",
     "NumericError",
     "ContractError",
     "enable_grad",
     "concat",
     "matmul",
-    "softmax_rows",
-    "log_softmax_rows",
+    "cross_entropy",
     "layer_norm",
     "attention",
     "l2_normalize_rows",
@@ -59,10 +58,6 @@ __all__ = [
 
 
 class ShapeMismatchError(ValueError):
-    pass
-
-
-class DomainError(ValueError):
     pass
 
 
@@ -280,9 +275,6 @@ class Tensor:
 
         return Tensor._make(out_vals, (self, other), bwd)
 
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_vals = self.values * other.values
@@ -295,28 +287,6 @@ class Tensor:
         return Tensor._make(out_vals, (self, other), bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if np.any(other.values == 0.0):
-            raise DomainError("division by exact zero")
-        out_vals = self.values / other.values
-        a_vals, b_vals = self.values, other.values
-
-        def bwd(g):
-            self._accumulate(_unbroadcast(g / b_vals, self.shape))
-            other._accumulate(_unbroadcast(-g * a_vals / (b_vals * b_vals), other.shape))
-
-        return Tensor._make(out_vals, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        def bwd(g):
-            self._accumulate(-g)
-
-        return Tensor._make(-self.values, (self,), bwd)
 
     def scale(self, c: float) -> "Tensor":
         c = float(c)
@@ -383,10 +353,6 @@ class Tensor:
 
         return Tensor._make(self.values.transpose(axes), (self,), bwd)
 
-    @property
-    def T(self):
-        return self.transpose()
-
     def __getitem__(self, key):
         out_vals = self.values[key]
         shape, dtype = self.shape, self.values.dtype
@@ -429,32 +395,10 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading axes broadcast, last two contract."""
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    if b.ndim == 2:
-        return _matmul_2d_rhs(a, b)
-    out_vals = np.matmul(a.values, b.values)
-    # A 1-D operand is a row (left) or a column (right) vector, as in np.matmul.
-    a_vals = a.values[None, :] if a.ndim == 1 else a.values
-    b_vals = b.values[:, None] if b.ndim == 1 else b.values
-
-    def bwd(g):
-        if b.ndim == 1:
-            g = g[..., None]
-        if a.ndim == 1:
-            g = np.expand_dims(g, -2)
-        ga = np.matmul(g, np.swapaxes(b_vals, -1, -2))
-        gb = np.matmul(np.swapaxes(a_vals, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a_vals.shape).reshape(a.shape))
-        b._accumulate(_unbroadcast(gb, b_vals.shape).reshape(b.shape))
-
-    return Tensor._make(out_vals, (a, b), bwd)
-
-
-def _matmul_2d_rhs(a: Tensor, b: Tensor) -> Tensor:
     """(..., K) @ (K, E) with the leading axes of `a` flattened, so the
     forward product and both gradients are each one 2-D GEMM."""
+    if b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul needs (..., K) @ (K, E), got {a.shape} @ {b.shape}")
     a2 = a.values.reshape(-1, a.shape[-1])
     b_vals = b.values
     out_vals = (a2 @ b_vals).reshape(a.shape[:-1] + (b.shape[1],))
@@ -503,36 +447,30 @@ def _shifted_rows(x: np.ndarray, what: str) -> np.ndarray:
     return x - row_max
 
 
-def _softmax(x: np.ndarray, what: str) -> np.ndarray:
-    """Stabilized softmax of each last-axis row, in a new array."""
-    e = _shifted_rows(x, what)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean over the rows of (n, K) `logits` of -log softmax(row)[target].
 
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Numerically stabilized softmax along the last axis."""
-    out_vals = _softmax(x.values, "softmax")
-
-    def bwd(g):
-        dot = (g * out_vals).sum(axis=-1, keepdims=True)
-        x._accumulate(out_vals * (g - dot))
-
-    return Tensor._make(out_vals, (x,), bwd)
-
-
-def log_softmax_rows(x: Tensor) -> Tensor:
-    """log(softmax) along the last axis, computed stably."""
-    shifted = _shifted_rows(x.values, "log_softmax")
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_vals = shifted - lse
-    soft = np.exp(out_vals)
+    One node: its value equals that of the chain log-softmax, pick at the
+    targets, mean and negate bit for bit, and its backward is the closed
+    form (softmax - onehot(targets)) * g / n. A NaN anywhere in a row
+    raises NumericError."""
+    targets = np.asarray(targets)
+    n = logits.shape[0]
+    if logits.ndim != 2 or targets.shape != (n,):
+        raise ShapeMismatchError(f"cross_entropy needs (n, K) logits and n targets, got {logits.shape} and {targets.shape}")
+    rows = np.arange(n)
+    shifted = _shifted_rows(logits.values, "cross_entropy")
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out_vals = -(logp[rows, targets].sum() * (1.0 / n))
+    soft = np.exp(logp)
 
     def bwd(g):
-        x._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
+        m = g * (1.0 / n)
+        d = soft * m
+        d[rows, targets] -= m
+        logits._accumulate(d)
 
-    return Tensor._make(out_vals, (x,), bwd)
+    return Tensor._make(out_vals, (logits,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -576,15 +514,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(scale * q @ k^T) @ v over the last two axes of (..., T, E)
     tensors of one shape; leading axes are batch axes. One node: its values
-    equal those of matmul, scale, softmax_rows and matmul bit for bit, and
-    NaN scores raise NumericError as softmax_rows does."""
+    equal those of the numpy chain np.matmul, scale, a max-shifted softmax
+    (exp, then divide by the row sum) and np.matmul bit for bit. NaN scores
+    raise NumericError."""
     if not q.shape == k.shape == v.shape:
         raise ShapeMismatchError(f"attention needs q, k and v of one shape: {q.shape}, {k.shape}, {v.shape}")
     scale = float(scale)
     q_vals, k_vals, v_vals = q.values, k.values, v.values
     scores = np.matmul(q_vals, np.swapaxes(k_vals, -1, -2))
     scores *= scale
-    probs = _softmax(scores, "attention softmax")
+    probs = _shifted_rows(scores, "attention softmax")
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     out_vals = np.matmul(probs, v_vals)
 
     def bwd(g):

@@ -54,6 +54,14 @@ class TrainConfig:
             raise ValueError("contrastive training needs batch size >= 2")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)!r}")
+        for name in ("base_lr", "weight_decay", "grad_clip"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, not {getattr(self, name)!r}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, not {self.eps!r}")
         if isinstance(self.loss, dict):
             self.loss = LossConfig(**self.loss)
 

@@ -147,6 +147,15 @@ class TestPretrain:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [["--dim", "3"], ["--dim", "0"], ["--rff-sigma", "0"], ["--lr", "-1"],
+                                       ["--beta1", "1.0"], ["--beta2", "1.5"], ["--weight-decay", "-0.1"]])
+    def test_rejected_model_or_optimizer_value_is_usage_error(self, tmp_path, workspace, capsys, flags):
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
+        rc = main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: bad" in err and "Traceback" not in err
+
     def test_rff_sigma_min_reaches_the_model(self, tmp_path, workspace, monkeypatch):
         from gair import cli
 

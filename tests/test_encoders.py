@@ -10,7 +10,6 @@ from gair.encoders import (
     LocEncoderConfig,
     rff_features,
 )
-from gair.geo import GeoPoint
 from gair.tensor import grad_check
 
 SMALL = dict(channels=1, image_size=8, patch_size=4, dim=8, depth=1, heads=2, ff_width=8)
@@ -25,6 +24,17 @@ class TestConfig:
     def test_indivisible_patch_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig(image_size=30, patch_size=4)
+
+    @pytest.mark.parametrize("kw", [{"dim": 0}, {"dim": -4}, {"channels": 0}, {"patch_size": 0}, {"heads": 0},
+                                    {"depth": 0}, {"ff_width": 0}, {"image_size": 0}])
+    def test_nonpositive_size_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be positive"):
+            EncoderConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [{"freqs": 0}, {"hidden": 0}, {"dim": 0}, {"sigma": 0.0}, {"sigma": -1.0}])
+    def test_nonpositive_location_config_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be positive"):
+            LocEncoderConfig(**kw)
 
     def test_grid_and_tokens(self):
         cfg = EncoderConfig(image_size=32, patch_size=4)
@@ -165,13 +175,6 @@ class TestLocationEncoder:
         a = LocationEncoder(self.cfg(), np.random.default_rng(5))
         b = LocationEncoder(self.cfg(), np.random.default_rng(5))
         assert np.array_equal(a.B, b.B)
-
-    def test_encode_point_matches_batch(self):
-        enc = LocationEncoder(self.cfg(), np.random.default_rng(2), dtype=np.float64)
-        p = GeoPoint(0.14, 0.82)
-        single = enc.encode_point(p).values
-        batch = enc.encode(np.array([[0.14, 0.82]])).values[0]
-        assert np.array_equal(single, batch)
 
     def test_gradients(self):
         enc = LocationEncoder(self.cfg(), np.random.default_rng(3), dtype=np.float64)

@@ -7,7 +7,6 @@ from gair.inr import (
     bilinear_oracle,
     ensemble_weights,
     f_theta,
-    inr_query,
     inr_query_batch,
     unfold3x3,
 )
@@ -215,10 +214,10 @@ class TestInrQuery:
         rng = np.random.default_rng(12)
         d = 2
         grid = rng.normal(size=(3, 3, d))
-        um3 = unfold3x3(Tensor(grid))
-        out = inr_query(FThetaParams.passthrough(d), um3, (0.1, -0.2), normalize=False)
+        um = unfold3x3(Tensor(grid[None]))
+        out = inr_query_batch(FThetaParams.passthrough(d), um, np.array([[0.1, -0.2]]), normalize=False)
         oracle = bilinear_oracle(grid, np.array([[0.1, -0.2]]))[0]
-        assert np.allclose(out.values, oracle, atol=1e-10)
+        assert np.allclose(out.values[0], oracle, atol=1e-10)
 
 
 def four_term_ensemble(params, unfolded, queries):

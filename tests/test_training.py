@@ -95,7 +95,9 @@ class TestSchedule:
         assert all(lrs[i] <= lrs[i + 1] for i in range(peak))
         assert all(lrs[i] >= lrs[i + 1] for i in range(peak, 200))
 
-    @pytest.mark.parametrize("kw", [{"schedule": "bogus"}, {"epochs": "x"}, {"batch_size": 64.0}, {"seed": None}, {"eval_every": 1.5}])
+    @pytest.mark.parametrize("kw", [{"schedule": "bogus"}, {"epochs": "x"}, {"batch_size": 64.0}, {"seed": None}, {"eval_every": 1.5},
+                                    {"base_lr": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}, {"eps": 0.0},
+                                    {"weight_decay": -0.1}, {"grad_clip": -1.0}, {"base_lr": float("nan")}])
     def test_config_rejects_bad_values(self, kw):
         with pytest.raises((TypeError, ValueError)):
             TrainConfig(**kw)
