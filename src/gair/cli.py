@@ -212,6 +212,8 @@ def cmd_pretrain(args, file_cfg) -> int:
         optimizer = bank = None
         start = 0
 
+    if len(records) < cfg.batch_size:
+        return _usage_error(f"dataset of {len(records)} records is smaller than one batch of {cfg.batch_size}")
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     run_cfg = {"train": asdict(cfg), "data": manifest["config"]}
     with open(os.path.join(args.out, "run_config.json"), "w", encoding="utf-8") as fh:
@@ -276,8 +278,8 @@ def cmd_evaluate(args, file_cfg) -> int:
 
 
 def cmd_heatmap(args, file_cfg) -> int:
-    if args.resolution <= 0 or args.cells < 1:
-        return _usage_error("--resolution and --cells must be positive")
+    if not 0 < args.resolution < math.inf or args.cells < 1:
+        return _usage_error("--resolution must be positive and finite and --cells positive")
     try:
         state = load_checkpoint(args.checkpoint)
         records, _ = read_dataset(args.data)

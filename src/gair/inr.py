@@ -10,8 +10,9 @@ The decoder is affine, f_theta(z, delta) = z W_z + delta W_delta + b, so the
 ensemble has a closed form: sum_k w_k f_theta(z_k, delta_k) =
 (sum_k w_k z_k) W_z + b. It is exact because the bilinear weights sum to 1
 and reproduce linear functions, so sum_k w_k delta_k = 0 (clamped queries
-are moved onto the hull first). `inr_query_batch` computes it with one
-gather, one blend and one matmul; `f_theta` stays as the reference.
+are moved onto the hull first). `inr_query_batch` is that formula as one
+autodiff node over (unfolded map, W, b) with its closed-form backward;
+`f_theta` stays as the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import OutOfFootprintError
-from .tensor import Tensor, concat, gather_cells, l2_normalize_rows, matmul
+from .tensor import Tensor, concat, l2_normalize_rows, matmul
 
 __all__ = [
     "FThetaParams",
@@ -160,15 +161,29 @@ def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray,
 
     unfolded: (N, P, P, 9D); queries: (N, 2) local coordinates. Returns
     (N, D), L2-normalized unless normalize=False; differentiable back to
-    the feature map and the decoder parameters. The ensemble is computed
-    in closed form (see the module docstring).
+    the feature map and the decoder parameters. The ensemble before the
+    normalization is one node in closed form (see the module docstring).
     """
-    P = unfolded.shape[1]
+    n, P, nine_d = unfolded.shape[0], unfolded.shape[1], unfolded.shape[-1]
     geom = ensemble_weights(queries, P)
-    dtype = unfolded.dtype
-    corners = gather_cells(unfolded, geom.rows, geom.cols)  # (N, 4, 9D)
-    blended = (corners * Tensor(geom.weights[:, :, None].astype(dtype))).sum(axis=1)
-    out = matmul(blended, params.weight[: unfolded.shape[-1]]) + params.bias
+    cells = (np.arange(n)[:, None], geom.rows, geom.cols)
+    w = geom.weights[:, :, None].astype(unfolded.dtype)
+    blended = (unfolded.values[cells] * w).sum(axis=1)  # (N, 9D)
+    w_z = params.weight.values[:nine_d]
+    out_vals = blended @ w_z + params.bias.values
+
+    def bwd(g):
+        params.bias._accumulate(g.sum(axis=0))
+        d_weight = np.zeros_like(params.weight.values)
+        d_weight[:nine_d] = blended.T @ g
+        params.weight._accumulate(d_weight)
+        # A sample's four corners are distinct cells of its own grid, so
+        # plain assignment scatters exactly.
+        d_unfolded = np.zeros_like(unfolded.values)
+        d_unfolded[cells] = (g @ w_z.T)[:, None, :] * w
+        unfolded._accumulate(d_unfolded)
+
+    out = Tensor._make(out_vals, (unfolded, params.weight, params.bias), bwd)
     return l2_normalize_rows(out) if normalize else out
 
 

@@ -4,6 +4,7 @@ location embeddings, and their weighted combination."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,10 @@ class LossConfig:
     bank_capacity: int = 4096
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
+        if not self.tau > 0:
+            raise ValueError(f"temperature must be positive, not {self.tau!r}")
+        if not 0 <= self.lambda_secl < math.inf:
+            raise ValueError(f"lambda_secl must be finite and non-negative, not {self.lambda_secl!r}")
         if self.bank_capacity < 1:
             raise ValueError("bank capacity must be positive")
 

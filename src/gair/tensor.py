@@ -1,9 +1,10 @@
 """Dense-tensor arithmetic with reverse-mode automatic differentiation.
 
 Small numpy-backed engine holding exactly the ops the model runs: the
-patch-transformer encoders, the location MLP, the continuous feature
-lookup and the contrastive losses, each validated against finite
-differences.
+patch-transformer encoders, the location MLP and the contrastive losses,
+each validated against finite differences. The continuous feature lookup
+builds its one node on `Tensor._make` in `gair.inr`. Tensors are not
+indexed: a gather is part of the closed-form node that needs it.
 
 The graph is opt-in. Inside `with enable_grad():` an op whose parent
 requires grad records its parents and a closure that accumulates gradients
@@ -51,7 +52,6 @@ __all__ = [
     "layer_norm",
     "attention",
     "l2_normalize_rows",
-    "gather_cells",
     "backward",
     "grad_check",
 ]
@@ -353,23 +353,6 @@ class Tensor:
 
         return Tensor._make(self.values.transpose(axes), (self,), bwd)
 
-    def __getitem__(self, key):
-        out_vals = self.values[key]
-        shape, dtype = self.shape, self.values.dtype
-        # An index array may repeat an element, whose gradients must add up;
-        # basic slices never repeat, and plain assignment is far cheaper.
-        fancy = any(isinstance(k, (np.ndarray, list)) for k in (key if isinstance(key, tuple) else (key,)))
-
-        def bwd(g):
-            full = np.zeros(shape, dtype=dtype)
-            if fancy:
-                np.add.at(full, key, g)
-            else:
-                full[key] = g
-            self._accumulate(full)
-
-        return Tensor._make(out_vals, (self,), bwd)
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -559,27 +542,6 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
         x._accumulate(g / denom - np.where(live, vals * dot / (denom**3), 0.0))
 
     return Tensor._make(out_vals, (x,), bwd)
-
-
-def gather_cells(grid: Tensor, rows, cols) -> Tensor:
-    """Pick cell vectors grid[i, rows[i], cols[i], :] for each batch index i.
-
-    rows and cols have shape (n,) or (n, k); the result is (n, C) or
-    (n, k, C), with k cells picked from sample i's grid.
-    """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    n = grid.shape[0]
-    idx = np.arange(n).reshape((n,) + (1,) * (rows.ndim - 1))
-    out_vals = grid.values[idx, rows, cols, :]
-    shape, dtype = grid.shape, grid.values.dtype
-
-    def bwd(g):
-        full = np.zeros(shape, dtype=dtype)
-        np.add.at(full, (idx, rows, cols), g)
-        grid._accumulate(full)
-
-    return Tensor._make(out_vals, (grid,), bwd)
 
 
 # -- backward pass ------------------------------------------------------------

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError(f"schedule must be 'cosine' or 'constant', not {self.schedule!r}")
         if self.batch_size < 2:
             raise ValueError("contrastive training needs batch size >= 2")
+        if self.epochs < 0 or self.eval_every < 0:
+            raise ValueError(f"epochs and eval_every must be non-negative, not {self.epochs} and {self.eval_every}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         for name in ("beta1", "beta2"):
@@ -64,6 +66,8 @@ class TrainConfig:
             raise ValueError(f"eps must be positive, not {self.eps!r}")
         if isinstance(self.loss, dict):
             self.loss = LossConfig(**self.loss)
+        if self.loss.bank_capacity < self.batch_size:
+            raise ValueError(f"bank capacity {self.loss.bank_capacity} is below the batch size {self.batch_size}")
 
 
 def lr_at(config: TrainConfig, step: int, total_steps: int) -> float:

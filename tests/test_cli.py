@@ -140,11 +140,21 @@ class TestPretrain:
         assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o")]) == 4
         assert "error: numeric divergence" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--batch-size", "1"], ["--warmup", "1.5"], ["--tau", "0"]])
+    @pytest.mark.parametrize("flags", [["--batch-size", "1"], ["--warmup", "1.5"], ["--tau", "0"], ["--tau", "nan"],
+                                       ["--lambda", "nan"], ["--lambda", "-1"], ["--epochs", "-1"], ["--eval-every", "-1"],
+                                       ["--bank-capacity", "2"], ["--batch-size", "13"]])
     def test_rejected_training_value_is_usage_error(self, tmp_path, workspace, capsys, flags):
-        rc = main(["pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"), *flags])
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
+        rc = main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"), *flags])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_resume_on_dataset_smaller_than_batch_is_usage_error(self, tmp_path, workspace, capsys):
+        small = str(tmp_path / "small")
+        assert main(["--config", write_config(tmp_path, "d.json", {**TINY_DATA, "count": 3}), "gen-data", "--out", small]) == 0
+        rc = main(["pretrain", "--data", small, "--out", str(tmp_path / "o"), "--resume", workspace["ckpt"]])
+        assert rc == 2
+        assert "smaller than one batch" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("flags", [["--dim", "3"], ["--dim", "0"], ["--rff-sigma", "0"], ["--lr", "-1"],
@@ -260,7 +270,8 @@ class TestHeatmap:
                          "--index", "1", "--out", prefix]) == 0
         assert open(a + ".csv").read() == open(b + ".csv").read()
 
-    @pytest.mark.parametrize("flags", [["--resolution", "0"], ["--cells", "0"]])
+    @pytest.mark.parametrize("flags", [["--resolution", "0"], ["--cells", "0"], ["--resolution", "nan"],
+                                       ["--resolution", "nan", "--mode", "inr"], ["--resolution", "inf", "--mode", "inr"]])
     def test_nonpositive_grid_is_usage_error(self, workspace, tmp_path, capsys, flags):
         rc = main(["heatmap", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"],
                    "--index", "0", "--out", str(tmp_path / "x"), *flags])

@@ -233,6 +233,25 @@ def four_term_ensemble(params, unfolded, queries):
     return out
 
 
+def chain_ensemble(unfolded, weight, bias, queries, g):
+    """The unfused lookup in numpy, as gather, blend-weights product, sum over
+    corners, weight slice, matmul and bias add computed it: the value and the
+    gradients of (unfolded, weight, bias) for the upstream gradient g."""
+    geom = ensemble_weights(queries, unfolded.shape[1])
+    nine_d = unfolded.shape[-1]
+    idx = np.arange(len(unfolded)).reshape(-1, 1)
+    corners = unfolded[idx, geom.rows, geom.cols, :]
+    w = geom.weights[:, :, None].astype(unfolded.dtype)
+    blended = (corners * w).sum(axis=1)
+    out = blended @ weight[:nine_d] + bias
+    d_weight = np.zeros_like(weight)
+    d_weight[:nine_d] = blended.T @ g
+    d_corners = np.broadcast_to(np.expand_dims(g @ weight[:nine_d].T, 1), corners.shape).copy() * w
+    d_unfolded = np.zeros_like(unfolded)
+    np.add.at(d_unfolded, (idx, geom.rows, geom.cols), d_corners)
+    return out, d_unfolded, d_weight, g.sum(axis=0)
+
+
 class TestClosedFormEnsemble:
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_matches_four_term_reference(self, dtype, atol):
@@ -249,6 +268,24 @@ class TestClosedFormEnsemble:
         out = inr_query_batch(params, unfolded, queries, normalize=False)
         assert out.dtype == dtype
         assert np.max(np.abs(out.values - four_term_ensemble(params, unfolded, queries))) < atol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_equals_unfused_chain(self, dtype):
+        rng = np.random.default_rng(15)
+        P, d, n = 4, 5, 200
+        unfolded = Tensor(rng.normal(size=(n, P, P, 9 * d)).astype(dtype), requires_grad=True)
+        weight = Tensor(rng.normal(size=(9 * d + 2, d)).astype(dtype), requires_grad=True)
+        bias = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
+        queries = rng.uniform(-1, 1, size=(n, 2))
+        assert ensemble_weights(queries, P).clamped.sum() > n // 5
+        g = rng.normal(size=(n, d)).astype(dtype)
+        with enable_grad():
+            out = inr_query_batch(FThetaParams(weight, bias), unfolded, queries, normalize=False)
+            backward((out * Tensor(g)).sum())
+        assert out._parents == (unfolded, weight, bias)
+        expected = chain_ensemble(unfolded.values, weight.values, bias.values, queries, g)
+        for got, want in zip([out.values, unfolded.grad, weight.grad, bias.grad], expected):
+            assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_offset_rows_get_exactly_zero_gradient(self):
         rng = np.random.default_rng(14)

@@ -35,6 +35,10 @@ class TestLossConfig:
             LossConfig(tau=0.0)
         with pytest.raises(ValueError):
             LossConfig(bank_capacity=0)
+        for kw in ({"tau": float("nan")}, {"lambda_secl": float("nan")}, {"lambda_secl": -1.0}, {"lambda_secl": float("inf")}):
+            with pytest.raises(ValueError):
+                LossConfig(**kw)
+        assert LossConfig(lambda_secl=0.0).lambda_secl == 0.0
 
 
 class TestMemoryBank:

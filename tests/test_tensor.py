@@ -14,7 +14,6 @@ from gair.tensor import (
     concat,
     cross_entropy,
     enable_grad,
-    gather_cells,
     grad_check,
     l2_normalize_rows,
     layer_norm,
@@ -74,30 +73,6 @@ class TestMatmul:
         assert report.passed
 
 
-class TestGatherCells:
-    def test_corner_indices_pick_per_sample_cells(self):
-        rng = np.random.default_rng(6)
-        grid = t64(rng.normal(size=(3, 4, 4, 2)))
-        rows = rng.integers(0, 4, size=(3, 4))
-        cols = rng.integers(0, 4, size=(3, 4))
-        out = gather_cells(grid, rows, cols)
-        assert out.shape == (3, 4, 2)
-        for i in range(3):
-            for k in range(4):
-                assert np.array_equal(out.values[i, k], grid.values[i, rows[i, k], cols[i, k]])
-        assert np.array_equal(gather_cells(grid, rows[:, 1], cols[:, 1]).values, out.values[:, 1])
-
-    def test_repeated_cells_accumulate_gradient(self):
-        grid = t64(np.zeros((2, 2, 2, 3)))
-        rows = np.array([[0, 0, 1, 1], [1, 1, 1, 1]])
-        cols = np.array([[0, 0, 1, 0], [1, 1, 1, 1]])
-        with enable_grad():
-            backward(gather_cells(grid, rows, cols).sum())
-        expected = np.zeros((2, 2, 2, 3))
-        expected[0, 0, 0], expected[0, 1, 1], expected[0, 1, 0], expected[1, 1, 1] = 2.0, 1.0, 1.0, 4.0
-        assert np.array_equal(grid.grad, expected)
-
-
 class TestElementwise:
     def test_exp_of_zeros(self):
         assert np.array_equal(t64(np.zeros((2, 3))).exp().values, np.ones((2, 3)))
@@ -114,7 +89,6 @@ class TestElementwise:
         ("gelu", lambda a: a.gelu().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("scale", lambda a: a.scale(2.5).exp().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("concat", lambda a, b: (concat([a, b], axis=1).exp()).sum(), lambda rng: [t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 2)))]),
-        ("slice", lambda a: (a[1:, :2].exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("reshape", lambda a: (a.reshape(2, 6).exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("transpose", lambda a: (a.transpose(1, 0).exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("sum", lambda a: (a.sum(axis=1).exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
@@ -356,18 +330,6 @@ class TestBackward:
                 acc = acc + y
             backward(acc.sum())
         assert np.array_equal(y.grad, [5.0])
-
-    def test_repeated_index_accumulates_gradient(self):
-        x = t64([1.0, 2.0, 3.0])
-        with enable_grad():
-            backward(x[np.array([0, 0, 2])].sum())
-        assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
-        y = t64(np.ones((2, 3)))
-        with enable_grad():
-            backward(y[np.array([1, 1, 0]), np.array([2, 2, 2])].sum())
-        assert np.array_equal(y.grad, [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
-        report = grad_check(lambda a: (a[np.array([0, 0, 2])] * a[[2, 1, 2]]).sum(), [t64([0.5, -1.0, 2.0])])
-        assert report.passed
 
     def test_constants_get_no_gradient(self):
         x = t64([1.0, 2.0, 3.0])

@@ -97,7 +97,8 @@ class TestSchedule:
 
     @pytest.mark.parametrize("kw", [{"schedule": "bogus"}, {"epochs": "x"}, {"batch_size": 64.0}, {"seed": None}, {"eval_every": 1.5},
                                     {"base_lr": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}, {"eps": 0.0},
-                                    {"weight_decay": -0.1}, {"grad_clip": -1.0}, {"base_lr": float("nan")}])
+                                    {"weight_decay": -0.1}, {"grad_clip": -1.0}, {"base_lr": float("nan")},
+                                    {"epochs": -1}, {"eval_every": -1}, {"loss": {"bank_capacity": 63}}])
     def test_config_rejects_bad_values(self, kw):
         with pytest.raises((TypeError, ValueError)):
             TrainConfig(**kw)
@@ -289,12 +290,26 @@ class TestTrainStep:
         model = tiny_model()
         nodes, _ = self.recorded_step(model, monkeypatch)
         constants = [n for n in nodes if not n.requires_grad]
-        # The RS and SV patches, the RFF features, the INR blend weights and the bank snapshot.
-        assert len(constants) >= 5
+        # The RS and SV patches, the RFF features and the bank snapshot.
+        assert len(constants) == 4
         assert all(not n._parents for n in constants)
         assert [n.grad for n in constants] == [None] * len(constants)
         params = {id(p) for p in model.parameters().values()}
         assert all(n.grad is not None for n in nodes if id(n) in params)
+
+    def test_inr_lookup_is_one_node(self, monkeypatch):
+        """z_q normalizes one node over the unfolded map and f_theta's W and b."""
+        model = tiny_model()
+        nodes, _ = self.recorded_step(model, monkeypatch)
+        readers = [n for n in nodes if any(p is model.ftheta.weight for p in n._parents)]
+        assert len(readers) == 1
+        lookup = readers[0]
+        assert len(lookup._parents) == 3
+        unfolded, weight, bias = lookup._parents
+        assert weight is model.ftheta.weight and bias is model.ftheta.bias
+        assert unfolded._backward.__qualname__.startswith("unfold3x3.")
+        z_q = [n for n in nodes if any(p is lookup for p in n._parents)]
+        assert len(z_q) == 1 and z_q[0]._backward.__qualname__.startswith("l2_normalize_rows.")
 
     def test_shared_first_gradients_are_clipped_once(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
