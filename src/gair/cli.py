@@ -67,6 +67,14 @@ def _merged(args, file_cfg: dict, key: str, default):
     return default
 
 
+def _integer(value, name: str) -> int:
+    """An integer field's value from a flag or the config file. A bool or a
+    non-integral number is rejected, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gair", description=__doc__)
     parser.add_argument("--config", help="JSON config file; flags override its values")
@@ -124,9 +132,10 @@ def _dataset_config(args, file_cfg) -> DataConfig:
     keys = ("region_deg", "footprint_deg", "rs_size", "sv_size", "temporal_variants", "modes",
             "sigma_rs", "sigma_sv", "sigma_temporal")
     return DataConfig(
-        count=int(_merged(args, file_cfg, "count", d.count)),
-        seed=int(_merged(args, file_cfg, "seed", d.seed)),
-        **{k: type(getattr(d, k))(file_cfg[k]) for k in keys if k in file_cfg},
+        count=_integer(_merged(args, file_cfg, "count", d.count), "count"),
+        seed=_integer(_merged(args, file_cfg, "seed", d.seed), "seed"),
+        **{k: _integer(file_cfg[k], k) if type(getattr(d, k)) is int else float(file_cfg[k])
+           for k in keys if k in file_cfg},
     )
 
 
@@ -156,20 +165,20 @@ def _train_config(args, file_cfg) -> TrainConfig:
     for a value that does not convert or that the constructors reject."""
     d = TrainConfig()
     return TrainConfig(
-        batch_size=int(_merged(args, file_cfg, "batch_size", d.batch_size)),
-        epochs=int(_merged(args, file_cfg, "epochs", d.epochs)),
+        batch_size=_integer(_merged(args, file_cfg, "batch_size", d.batch_size), "batch_size"),
+        epochs=_integer(_merged(args, file_cfg, "epochs", d.epochs), "epochs"),
         base_lr=float(_merged(args, file_cfg, "lr", d.base_lr)),
         beta1=float(_merged(args, file_cfg, "beta1", d.beta1)),
         beta2=float(_merged(args, file_cfg, "beta2", d.beta2)),
         weight_decay=float(_merged(args, file_cfg, "weight_decay", d.weight_decay)),
         warmup_fraction=float(_merged(args, file_cfg, "warmup", d.warmup_fraction)),
         schedule=_merged(args, file_cfg, "schedule", d.schedule),
-        seed=int(_merged(args, file_cfg, "seed", d.seed)),
-        eval_every=int(_merged(args, file_cfg, "eval_every", d.eval_every)),
+        seed=_integer(_merged(args, file_cfg, "seed", d.seed), "seed"),
+        eval_every=_integer(_merged(args, file_cfg, "eval_every", d.eval_every), "eval_every"),
         loss=LossConfig(
             tau=float(_merged(args, file_cfg, "tau", d.loss.tau)),
             lambda_secl=float(_merged(args, file_cfg, "lambda_secl", d.loss.lambda_secl)),
-            bank_capacity=int(_merged(args, file_cfg, "bank_capacity", d.loss.bank_capacity)),
+            bank_capacity=_integer(_merged(args, file_cfg, "bank_capacity", d.loss.bank_capacity), "bank_capacity"),
         ),
     )
 
@@ -203,7 +212,7 @@ def cmd_pretrain(args, file_cfg) -> int:
         cfg = state["config"]
     else:
         try:
-            dim = int(_merged(args, file_cfg, "dim", 64))
+            dim = _integer(_merged(args, file_cfg, "dim", 64), "dim")
             sigma = float(_merged(args, file_cfg, "rff_sigma", 1000.0))
             sigma_min = float(_merged(args, file_cfg, "rff_sigma_min", 0.0))
             model = build_model(manifest["config"], seed=cfg.seed, dim=dim, rff_sigma=sigma, rff_sigma_min=sigma_min)

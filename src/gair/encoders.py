@@ -120,20 +120,18 @@ class ImageEncoder:
         return self.params[f"{self.prefix}.{name}"]
 
     def backbone(self, images: np.ndarray) -> Tensor:
-        """Token features (N, tokens, dim) after the attention blocks."""
+        """Token features (N, tokens, dim) after the attention blocks. Each
+        block is pre-norm multi-head self-attention, whose head split and
+        merge happen inside the one `attention` node, then a GELU MLP, each
+        with a residual add."""
         c = self.config
         patches = Tensor(self.patchify(images).astype(self.dtype))
         x = matmul(patches, self._p("patch.weight")) + self._p("patch.bias")
         x = x + self._p("pos")
-        n, t = x.shape[0], c.tokens
-        hd = c.dim // c.heads
-        scale = 1.0 / math.sqrt(hd)
         for i in range(c.depth):
             h = layer_norm(x, self._p(f"block{i}.ln1.gamma"), self._p(f"block{i}.ln1.beta"))
-            q = matmul(h, self._p(f"block{i}.attn.q")).reshape(n, t, c.heads, hd).transpose(0, 2, 1, 3)
-            k = matmul(h, self._p(f"block{i}.attn.k")).reshape(n, t, c.heads, hd).transpose(0, 2, 1, 3)
-            v = matmul(h, self._p(f"block{i}.attn.v")).reshape(n, t, c.heads, hd).transpose(0, 2, 1, 3)
-            mixed = attention(q, k, v, scale).transpose(0, 2, 1, 3).reshape(n, t, c.dim)
+            mixed = attention(matmul(h, self._p(f"block{i}.attn.q")), matmul(h, self._p(f"block{i}.attn.k")),
+                              matmul(h, self._p(f"block{i}.attn.v")), c.heads)
             x = x + matmul(mixed, self._p(f"block{i}.attn.o"))
             h = layer_norm(x, self._p(f"block{i}.ln2.gamma"), self._p(f"block{i}.ln2.beta"))
             h = (matmul(h, self._p(f"block{i}.ff.w1")) + self._p(f"block{i}.ff.b1")).gelu()

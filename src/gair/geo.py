@@ -117,15 +117,21 @@ def patch_center(P: int, a: int, b: int) -> LocalCoord:
     return LocalCoord(u, v)
 
 
-def equal_earth(p: GeoPoint) -> tuple:
-    """Forward Equal Earth projection (x, y)."""
-    theta = math.asin(_SQRT3_2 * math.sin(p.lat))
+def _equal_earth_xy(lon, lat):
+    """Equal Earth (x, y) of radian lon/lat floats or arrays, lon in [-pi, pi)."""
+    theta = np.arcsin(_SQRT3_2 * np.sin(lat))
     t2 = theta * theta
     t6 = t2 * t2 * t2
     y = theta * (_A1 + _A2 * t2 + _A3 * t6 + _A4 * t6 * t2)
     dy = _A1 + 3 * _A2 * t2 + 7 * _A3 * t6 + 9 * _A4 * t6 * t2
-    x = (2.0 * math.sqrt(3.0) / 3.0) * p.lon * math.cos(theta) / dy
+    x = (2.0 * math.sqrt(3.0) / 3.0) * lon * np.cos(theta) / dy
     return x, y
+
+
+def equal_earth(p: GeoPoint) -> tuple:
+    """Forward Equal Earth projection (x, y)."""
+    x, y = _equal_earth_xy(p.lon, p.lat)
+    return float(x), float(y)
 
 
 def _projection_extrema() -> tuple:
@@ -150,11 +156,5 @@ def equal_earth_rescaled_batch(lonlat: np.ndarray) -> np.ndarray:
     outside = (lon < -math.pi) | (lon >= math.pi)
     if np.any(outside):
         lon = np.where(outside, (lon + math.pi) % TWO_PI - math.pi, lon)
-    lat = lonlat[:, 1]
-    theta = np.arcsin(_SQRT3_2 * np.sin(lat))
-    t2 = theta * theta
-    t6 = t2 * t2 * t2
-    y = theta * (_A1 + _A2 * t2 + _A3 * t6 + _A4 * t6 * t2)
-    dy = _A1 + 3 * _A2 * t2 + 7 * _A3 * t6 + 9 * _A4 * t6 * t2
-    x = (2.0 * math.sqrt(3.0) / 3.0) * lon * np.cos(theta) / dy
+    x, y = _equal_earth_xy(lon, lonlat[:, 1])
     return np.stack([x / EQUAL_EARTH_X_MAX, y / EQUAL_EARTH_Y_MAX], axis=1)

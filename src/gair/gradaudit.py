@@ -35,22 +35,21 @@ def audit_cases(seed: int = 0):
     cases.append(("sub", lambda a, b: (a - b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
     cases.append(("mul", lambda a, b: (a * b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
     cases.append(("scale", lambda a: a.scale(1.7).sum(), [_t(rng, 5)]))
-    cases.append(("exp", lambda a: a.exp().sum(), [_t(rng, 4, 3)]))
     cases.append(("gelu", lambda a: a.gelu().sum(), [_t(rng, 4, 3)]))
     cases.append(("concat", lambda a, b: (concat([a, b], axis=1) * concat([b, a], axis=1)).sum(), [_t(rng, 2, 3), _t(rng, 2, 3)]))
     cases.append(("reshape", lambda a: (a.reshape(2, 6) * a.reshape(2, 6)).sum(), [_t(rng, 3, 4)]))
-    cases.append(("transpose", lambda a: (a.transpose(1, 0) @ a).sum(), [_t(rng, 4, 3)]))
+    cases.append(("transpose", lambda a: (a.transpose() @ a).sum(), [_t(rng, 4, 3)]))
     cases.append(("sum_axis", lambda a: (a.sum(axis=0) * a.sum(axis=0)).sum(), [_t(rng, 3, 4)]))
     cases.append(("mean_axis", lambda a: (a.mean(axis=1) * a.mean(axis=1)).sum(), [_t(rng, 3, 4)]))
     # Repeated targets, as a classification probe's labels have.
     cases.append(("cross_entropy", lambda a: cross_entropy(a, [4, 0, 4]), [_t(rng, 3, 5)]))
-    cases.append(("layer_norm", lambda x, g, b: (layer_norm(x, g, b) * layer_norm(x, g, b).exp()).sum(),
+    cases.append(("layer_norm", lambda x, g, b: (layer_norm(x, g, b) * layer_norm(x, g, b).gelu()).sum(),
                   [_t(rng, 2, 3, 5), _t(rng, 5), _t(rng, 5)]))
-    cases.append(("attention", lambda q, k, v: (attention(q, k, v, 0.7) * attention(q, k, v, 0.7).exp()).sum(),
+    cases.append(("attention", lambda q, k, v: (attention(q, k, v, 2) * attention(q, k, v, 2).gelu()).sum(),
                   [_t(rng, 2, 3, 4), _t(rng, 2, 3, 4), _t(rng, 2, 3, 4)]))
-    cases.append(("l2_normalize_rows", lambda a: (l2_normalize_rows(a) * l2_normalize_rows(a).exp()).sum(), [_t(rng, 3, 5)]))
+    cases.append(("l2_normalize_rows", lambda a: (l2_normalize_rows(a) * l2_normalize_rows(a).gelu()).sum(), [_t(rng, 3, 5)]))
 
-    cases.append(("unfold3x3", lambda a: (inr.unfold3x3(a) * inr.unfold3x3(a).exp()).sum(), [_t(rng, 2, 3, 3, 2)]))
+    cases.append(("unfold3x3", lambda a: (inr.unfold3x3(a) * inr.unfold3x3(a).gelu()).sum(), [_t(rng, 2, 3, 3, 2)]))
 
     d = 3
     ftheta = inr.FThetaParams(weight=_t(rng, 9 * d + 2, d), bias=_t(rng, d))

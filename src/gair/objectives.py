@@ -30,57 +30,45 @@ class LossConfig:
 
 
 class MemoryBank:
-    """FIFO ring of detached unit-norm vectors from past mini-batches.
+    """FIFO of detached unit-norm vectors from past mini-batches.
 
-    Rows live in a preallocated (capacity, D) float64 array, allocated on
-    the first push; `_next` is the slot the next row goes to, which is also
-    the oldest row once the ring is full.
+    Rows are kept oldest-first in one float64 array, which every push
+    replaces, so a snapshot taken earlier keeps its rows.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("bank capacity must be positive")
         self.capacity = capacity
-        self._rows = None
-        self._next = 0
-        self._count = 0
+        self._rows = np.zeros((0, 0))
 
     def __len__(self):
-        return self._count
+        return len(self._rows)
 
     def push(self, batch: np.ndarray):
-        batch = np.atleast_2d(np.asarray(batch))
+        """Append the batch's rows, keeping the newest `capacity`."""
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         n = batch.shape[0]
         if n > self.capacity:
             raise ValueError(f"batch of {n} exceeds bank capacity {self.capacity}")
         norms = np.linalg.norm(batch, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-3):
             raise ContractError("bank entries must be unit-norm")
-        if self._rows is None:
-            self._rows = np.empty((self.capacity, batch.shape[1]))
-        self._rows[(self._next + np.arange(n)) % self.capacity] = batch
-        self._next = (self._next + n) % self.capacity
-        self._count = min(self.capacity, self._count + n)
+        if n:
+            dropped = max(0, len(self) + n - self.capacity)
+            self._rows = np.concatenate([self._rows[dropped:], batch]) if len(self) else batch.copy()
 
     def snapshot(self) -> np.ndarray:
-        """Contents oldest-first as a detached (k, D) array."""
-        if not self._count:
-            return np.zeros((0, 0))
-        if self._count < self.capacity:
-            return self._rows[: self._count].copy()
-        return np.roll(self._rows, -self._next, axis=0)
+        """Contents oldest-first as a read-only (k, D) view; (0, 0) when empty."""
+        rows = self._rows.view()
+        rows.flags.writeable = False
+        return rows
 
     def load_state(self, entries: np.ndarray):
         """Replace the contents with `entries` (oldest-first); only the
         newest `capacity` rows are kept."""
         rows = np.atleast_2d(np.asarray(entries, dtype=np.float64))
-        self._rows, self._next, self._count = None, 0, 0
-        if rows.size:
-            rows = rows[-self.capacity :]
-            self._rows = np.empty((self.capacity, rows.shape[1]))
-            self._rows[: len(rows)] = rows
-            self._count = len(rows)
-            self._next = self._count % self.capacity
+        self._rows = rows[-self.capacity :].copy() if rows.size else np.zeros((0, 0))
 
 
 def _check_unit_rows(x: Tensor, what: str):

@@ -16,10 +16,11 @@ inside `enable_grad()` rejects a parent computed outside it from tensors
 that require grad, whose gradient would otherwise stop there.
 
 Where the math has a closed form it is one node: `layer_norm`,
-`attention` (scores, softmax and mix), `Tensor.gelu` and `cross_entropy`
-(every softmax loss: both InfoNCE objectives and the classification
-probe). `matmul` takes only a (K, E) right-hand side, which every weight
-and similarity product is, and runs as one 2-D GEMM.
+multi-head `attention` (head split, scores, softmax, mix and head merge
+over (N, T, D) projections), `Tensor.gelu` and `cross_entropy` (every
+softmax loss: both InfoNCE objectives and the classification probe).
+`matmul` takes only a (K, E) right-hand side, which every weight and
+similarity product is, and runs as one 2-D GEMM.
 
 Dtype contract: an op computes in the dtype of its inputs. GELU's erf is
 the one place the two dtypes differ in method: float64 takes
@@ -301,14 +302,6 @@ class Tensor:
 
     # -- elementwise functions ----------------------------------------------
 
-    def exp(self):
-        out_vals = np.exp(self.values)
-
-        def bwd(g):
-            self._accumulate(g * out_vals)
-
-        return Tensor._make(out_vals, (self,), bwd)
-
     def gelu(self):
         """Erf-based GELU, x * Phi(x). Float64 takes erf from scipy; float32
         uses `_erf_f32`, whose GELU stays within 1e-6 of scipy's."""
@@ -341,17 +334,13 @@ class Tensor:
 
         return Tensor._make(self.values.reshape(shape), (self,), bwd)
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(range(self.ndim))[::-1]
-        inverse = np.argsort(axes)
+    def transpose(self):
+        """The matrix transpose; in general, the axes reversed."""
 
         def bwd(g):
-            self._accumulate(g.transpose(inverse))
+            self._accumulate(g.T)
 
-        return Tensor._make(self.values.transpose(axes), (self,), bwd)
+        return Tensor._make(self.values.T, (self,), bwd)
 
     # -- reductions ----------------------------------------------------------
 
@@ -494,28 +483,41 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return Tensor._make(out_vals, (x, gamma, beta), bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(scale * q @ k^T) @ v over the last two axes of (..., T, E)
-    tensors of one shape; leading axes are batch axes. One node: its values
-    equal those of the numpy chain np.matmul, scale, a max-shifted softmax
-    (exp, then divide by the row sum) and np.matmul bit for bit. NaN scores
-    raise NumericError."""
-    if not q.shape == k.shape == v.shape:
-        raise ShapeMismatchError(f"attention needs q, k and v of one shape: {q.shape}, {k.shape}, {v.shape}")
-    scale = float(scale)
-    q_vals, k_vals, v_vals = q.values, k.values, v.values
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head attention over (N, T, D) projections: head h takes the
+    columns [h E, (h + 1) E), E = D / heads, of q, k and v, mixes them as
+    softmax(q k^T / sqrt(E)) v and writes the same columns of the output.
+    One node: the heads are (N, heads, T, E) numpy views of the inputs and
+    of the incoming gradient. Its values equal those of the numpy chain
+    np.matmul, scale, a max-shifted softmax (exp, then divide by the row
+    sum) and np.matmul on those views bit for bit. NaN scores raise
+    NumericError."""
+    if not q.shape == k.shape == v.shape or q.ndim != 3 or q.shape[-1] % heads:
+        raise ShapeMismatchError(f"attention needs q, k and v of one shape (N, T, D) with D divisible by "
+                                 f"{heads} heads: {q.shape}, {k.shape}, {v.shape}")
+    n, t, d = q.shape
+    scale = 1.0 / math.sqrt(d // heads)
+
+    def split(x):
+        return x.reshape(n, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    q_vals, k_vals, v_vals = split(q.values), split(k.values), split(v.values)
     scores = np.matmul(q_vals, np.swapaxes(k_vals, -1, -2))
     scores *= scale
     probs = _shifted_rows(scores, "attention softmax")
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out_vals = np.matmul(probs, v_vals)
+    mixed = np.matmul(probs, v_vals)
 
     def bwd(g):
-        v._accumulate(np.matmul(np.swapaxes(probs, -1, -2), g))
+        g = split(g)
+        v._accumulate(merge(np.matmul(np.swapaxes(probs, -1, -2), g)))
         # dscores = probs * (g v^T - rowsum(g v^T * probs)), and that row sum
-        # is rowsum(g * out), a far smaller product, summed by a GEMV.
-        g_out = (g * out_vals).reshape(-1, g.shape[-1])
+        # is rowsum(g * mixed), a far smaller product, summed by a GEMV.
+        g_out = (g * mixed).reshape(-1, g.shape[-1])
         ds = np.matmul(g, np.swapaxes(v_vals, -1, -2))
         ds -= (g_out @ np.ones(g.shape[-1], dtype=g_out.dtype)).reshape(ds.shape[:-1] + (1,))
         ds *= probs
@@ -523,10 +525,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         dq *= scale
         dk = np.matmul(np.swapaxes(ds, -1, -2), q_vals)
         dk *= scale
-        q._accumulate(dq)
-        k._accumulate(dk)
+        q._accumulate(merge(dq))
+        k._accumulate(merge(dk))
 
-    return Tensor._make(out_vals, (q, k, v), bwd)
+    return Tensor._make(merge(mixed), (q, k, v), bwd)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:

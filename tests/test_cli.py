@@ -72,6 +72,8 @@ class TestGenData:
     @pytest.mark.parametrize("edit", [
         {"rs_size": 0}, {"rs_size": 1}, {"temporal_variants": 0}, {"footprint_deg": 2.0},
         {"region_deg": -1}, {"modes": 0}, {"sv_size": 0},
+        # An integer field rejects a fractional number or a bool instead of truncating it.
+        {"count": 2.7, "rs_size": 16.9}, {"count": True},
     ], ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()))
     def test_rejected_dataset_value_is_usage_error(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path, "d.json", {**TINY_DATA, "count": 4, **edit})
@@ -148,6 +150,16 @@ class TestPretrain:
         rc = main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"), *flags])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [{"epochs": 0.5, "batch_size": 2.9}, {"dim": 16.5}, {"eval_every": True}],
+                             ids=["fractional", "fractional-dim", "bool"])
+    def test_non_integer_config_value_is_usage_error(self, tmp_path, workspace, capsys, edit):
+        """An integer field rejects a fractional number or a bool instead of truncating it."""
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN, **edit})
+        rc = main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.bin").exists()
 
     def test_resume_on_dataset_smaller_than_batch_is_usage_error(self, tmp_path, workspace, capsys):
         small = str(tmp_path / "small")

@@ -11,6 +11,7 @@ from gair.geo import (
     OutOfFootprintError,
     equal_earth,
     equal_earth_rescaled,
+    equal_earth_rescaled_batch,
     from_local,
     patch_center,
     to_local,
@@ -139,6 +140,23 @@ class TestEqualEarth:
 
         d, _ = cKDTree(pts).query(pts, k=2)
         assert d[:, 1].min() > 1e-6
+
+    def test_rescaled_batch_matches_reference_values(self):
+        """The vectorized path the location encoder runs, against the
+        published values: x = (2 sqrt(3) / 3) lon / A1 on the equator (1.3533
+        at lon = pi / 2), extrema 2.7066 and 1.3173 (aspect 2.05:1), and a
+        longitude outside [-pi, pi) wrapped first."""
+        pts = np.array([[math.pi / 2, 0.0], [0.0, math.pi / 2], [-math.pi, 0.0], [0.0, -math.pi / 2],
+                        [3 * math.pi / 2, 0.0], [0.0, 0.0]])
+        q = equal_earth_rescaled_batch(pts)
+        x = q[:, 0] * EQUAL_EARTH_X_MAX
+        assert abs(x[0] - (2 * math.sqrt(3) / 3) * (math.pi / 2) / 1.340264) < 1e-12 and abs(x[0] - 1.3533) < 1e-4
+        assert np.allclose(q, [[0.5, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [-0.5, 0.0], [0.0, 0.0]], rtol=0, atol=1e-12)
+        assert abs(EQUAL_EARTH_X_MAX / EQUAL_EARTH_Y_MAX - 2.05) < 5e-3
+        rng = np.random.default_rng(2)
+        lonlat = np.stack([rng.uniform(-math.pi, math.pi, 200), rng.uniform(-math.pi / 2, math.pi / 2, 200)], axis=1)
+        scalar = np.array([equal_earth_rescaled(GeoPoint(lon, lat)) for lon, lat in lonlat])
+        assert np.allclose(equal_earth_rescaled_batch(lonlat), scalar, rtol=0, atol=1e-15)
 
     def test_rescale_extrema(self):
         assert abs(EQUAL_EARTH_X_MAX - 2.7066) < 1e-3

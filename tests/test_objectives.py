@@ -64,13 +64,30 @@ class TestMemoryBank:
         with pytest.raises(ContractError):
             bank.push(np.array([[1.0, 1.0]]))
 
-    def test_snapshot_is_detached_copy(self):
+    def test_snapshot_is_read_only_and_kept_by_later_pushes(self):
+        rng = np.random.default_rng(2)
         bank = MemoryBank(capacity=4)
-        batch = unit_rows(np.random.default_rng(2), 2, 3)
+        batch = unit_rows(rng, 2, 3)
         bank.push(batch)
+        batch[0, 0] = 99.0
         snap = bank.snapshot()
-        snap[0, 0] = 99.0
-        assert bank.snapshot()[0, 0] != 99.0
+        assert snap[0, 0] != 99.0
+        with pytest.raises(ValueError):
+            snap[0, 0] = 99.0
+        kept = snap.copy()
+        for _ in range(3):
+            bank.push(unit_rows(rng, 2, 3))
+        assert np.array_equal(snap, kept) and not np.array_equal(bank.snapshot(), kept)
+
+    def test_empty_bank_snapshots_as_0_by_0(self):
+        bank = MemoryBank(capacity=4)
+        assert bank.snapshot().shape == (0, 0) and len(bank) == 0
+        bank.load_state(np.zeros((0, 0)))
+        assert bank.snapshot().shape == (0, 0)
+        bank.push(unit_rows(np.random.default_rng(4), 3, 5))
+        assert bank.snapshot().shape == (3, 5)
+        with pytest.raises(ValueError):
+            bank.push(unit_rows(np.random.default_rng(5), 1, 4))
 
     def test_state_roundtrip(self):
         bank = MemoryBank(capacity=8)

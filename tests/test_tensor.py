@@ -74,9 +74,6 @@ class TestMatmul:
 
 
 class TestElementwise:
-    def test_exp_of_zeros(self):
-        assert np.array_equal(t64(np.zeros((2, 3))).exp().values, np.ones((2, 3)))
-
     def test_concat(self):
         out = concat([t64([1.0, 2.0]), t64([3.0])], axis=0)
         assert np.array_equal(out.values, [1, 2, 3])
@@ -85,14 +82,13 @@ class TestElementwise:
         ("add", lambda a, b: (a + b).sum(), lambda rng: [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4,)))]),
         ("sub", lambda a, b: (a - b).sum(), lambda rng: [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4,)))]),
         ("mul", lambda a, b: (a * b).sum(), lambda rng: [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4,)))]),
-        ("exp", lambda a: a.exp().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
         ("gelu", lambda a: a.gelu().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
-        ("scale", lambda a: a.scale(2.5).exp().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
-        ("concat", lambda a, b: (concat([a, b], axis=1).exp()).sum(), lambda rng: [t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 2)))]),
-        ("reshape", lambda a: (a.reshape(2, 6).exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
-        ("transpose", lambda a: (a.transpose(1, 0).exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
-        ("sum", lambda a: (a.sum(axis=1).exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
-        ("mean", lambda a: (a.mean(axis=0).exp()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
+        ("scale", lambda a: a.scale(2.5).gelu().sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
+        ("concat", lambda a, b: (concat([a, b], axis=1).gelu()).sum(), lambda rng: [t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 2)))]),
+        ("reshape", lambda a: (a.reshape(2, 6).gelu()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
+        ("transpose", lambda a: (a.transpose().gelu()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
+        ("sum", lambda a: (a.sum(axis=1).gelu()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
+        ("mean", lambda a: (a.mean(axis=0).gelu()).sum(), lambda rng: [t64(rng.normal(size=(3, 4)))]),
     ])
     def test_each_op_passes_finite_difference_check(self, name, fn, make):
         rng = np.random.default_rng(7)
@@ -194,9 +190,10 @@ class TestFusedOps:
         return (centered.values / np.sqrt(var.values + 1e-6)) * gamma.values + beta.values
 
     @staticmethod
-    def heads(rng, dtype, shape=(3, 6, 2, 4)):
-        """(N, T, H, E) values viewed as (N, H, T, E), as the encoder's q, k, v are."""
-        return Tensor(rng.normal(size=shape), dtype=dtype, requires_grad=True).transpose(0, 2, 1, 3)
+    def heads(x, heads):
+        """(N, T, D) values viewed as (N, heads, T, D / heads), as `attention` splits them."""
+        n, t, d = x.shape
+        return x.reshape(n, t, heads, d // heads).transpose(0, 2, 1, 3)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_norm_equals_primitive_chain(self, dtype):
@@ -211,18 +208,32 @@ class TestFusedOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_equals_primitive_chain(self, dtype):
         rng = np.random.default_rng(22)
-        q, k, v = (self.heads(rng, dtype) for _ in range(3))
-        fused = attention(q, k, v, 0.5).values
-        scores = np.matmul(q.values, np.swapaxes(k.values, -1, -2)) * 0.5
+        q, k, v = (rng.normal(size=(3, 6, 8)).astype(dtype) for _ in range(3))
+        fused = attention(Tensor(q), Tensor(k), Tensor(v), 2).values
+        scores = np.matmul(self.heads(q, 2), np.swapaxes(self.heads(k, 2), -1, -2)) * (1.0 / math.sqrt(4))
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        chain = np.matmul(probs / probs.sum(axis=-1, keepdims=True), v.values)
-        assert fused.dtype == dtype
-        assert np.array_equal(fused, chain)
+        chain = np.matmul(probs / probs.sum(axis=-1, keepdims=True), self.heads(v, 2))
+        assert fused.dtype == dtype and fused.shape == (3, 6, 8)
+        assert np.array_equal(fused, chain.transpose(0, 2, 1, 3).reshape(3, 6, 8))
+
+    def test_attention_heads_are_column_slices(self):
+        """Head h reads and writes columns [h E, (h + 1) E) only, and mixes
+        them as single-head attention with scale 1 / sqrt(E)."""
+        rng = np.random.default_rng(27)
+        q, k, v = (rng.normal(size=(2, 5, 6)) for _ in range(3))
+        out = attention(t64(q), t64(k), t64(v), 3).values
+        for h in range(3):
+            cols = slice(2 * h, 2 * h + 2)
+            single = attention(t64(q[..., cols]), t64(k[..., cols]), t64(v[..., cols]), 1).values
+            assert np.allclose(out[..., cols], single, rtol=1e-12, atol=1e-12)
+        q[..., :2] += 1.0
+        moved = attention(t64(q), t64(k), t64(v), 3).values
+        assert np.array_equal(moved[..., 2:], out[..., 2:]) and not np.allclose(moved[..., :2], out[..., :2])
 
     @pytest.mark.parametrize("name,fn,make", [
-        ("layer_norm", lambda x, g, b: (layer_norm(x, g, b) * layer_norm(x, g, b).exp()).sum(),
+        ("layer_norm", lambda x, g, b: (layer_norm(x, g, b) * layer_norm(x, g, b).gelu()).sum(),
          lambda rng: [t64(rng.normal(size=(2, 3, 5))), t64(rng.normal(size=5)), t64(rng.normal(size=5))]),
-        ("attention", lambda q, k, v: (attention(q, k, v, 0.7) * attention(q, k, v, 0.7).exp()).sum(),
+        ("attention", lambda q, k, v: (attention(q, k, v, 2) * attention(q, k, v, 2).gelu()).sum(),
          lambda rng: [t64(rng.normal(size=(2, 3, 4))) for _ in range(3)]),
     ])
     def test_gradient_vs_finite_differences(self, name, fn, make):
@@ -236,7 +247,7 @@ class TestFusedOps:
         x, gamma, beta = t64(rng.normal(size=(3, 5))), t64(rng.normal(size=5)), t64(rng.normal(size=5))
         q, k, v = (t64(rng.normal(size=(2, 3, 4))) for _ in range(3))
         with enable_grad():
-            outs = (layer_norm(x, gamma, beta), attention(q, k, v, 0.5), x.gelu())
+            outs = (layer_norm(x, gamma, beta), attention(q, k, v, 2), x.gelu())
         for out in outs:
             g = rng.normal(size=out.shape)
             kept = g.copy()
@@ -248,12 +259,17 @@ class TestFusedOps:
         k = t64(np.ones((2, 3, 4)))
         k.values[1, 2, 0] = np.nan
         with pytest.raises(NumericError):
-            attention(q, k, t64(np.ones((2, 3, 4))), 0.5)
+            attention(q, k, t64(np.ones((2, 3, 4))), 2)
 
     def test_shape_mismatch_raises(self):
         a, b = t64(np.ones((2, 3, 4))), t64(np.ones((2, 4, 4)))
         with pytest.raises(ShapeMismatchError):
-            attention(a, a, b, 0.5)
+            attention(a, a, b, 2)
+        with pytest.raises(ShapeMismatchError, match="divisible by 3 heads"):
+            attention(a, a, a, 3)
+        flat = t64(np.ones((3, 4)))
+        with pytest.raises(ShapeMismatchError):
+            attention(flat, flat, flat, 2)
         with pytest.raises(ShapeMismatchError):
             layer_norm(a, t64(np.ones(3)), t64(np.zeros(4)))
 
@@ -299,7 +315,7 @@ class TestL2Normalize:
     def test_gradient(self):
         rng = np.random.default_rng(3)
         x = t64(rng.normal(size=(3, 5)))
-        report = grad_check(lambda a: (l2_normalize_rows(a).exp()).sum(), [x], tolerance=1e-5)
+        report = grad_check(lambda a: (l2_normalize_rows(a).gelu()).sum(), [x], tolerance=1e-5)
         assert report.passed
 
 
@@ -356,10 +372,10 @@ class TestBackward:
 class TestGraphRecording:
     def test_ops_outside_enable_grad_record_nothing(self):
         x = t64([1.0, -2.0, 3.0])
-        out = (x * x).exp().sum()
+        out = (x * x).gelu().sum()
         assert out._parents == () and out._backward is None and not out.requires_grad
         with enable_grad():
-            tracked = (x * x).exp().sum()
+            tracked = (x * x).gelu().sum()
         assert tracked._parents != () and tracked.requires_grad
         assert np.array_equal(out.values, tracked.values)
 
@@ -375,14 +391,14 @@ class TestGraphRecording:
 
     def test_untracked_intermediate_in_tracked_op_raises(self):
         x = t64([1.0, 2.0])
-        h = (x * x).exp()  # computed outside from x, which requires grad
+        h = (x * x).gelu()  # computed outside from x, which requires grad
         with enable_grad():
             with pytest.raises(ContractError, match="outside enable_grad"):
                 h + x
             with pytest.raises(ContractError, match="outside enable_grad"):
                 h.sum()
             # Outside values of constants, and fresh leaves, are fine.
-            c = t64([3.0, 4.0], rg=False).exp()
+            c = t64([3.0, 4.0], rg=False).gelu()
             backward((Tensor(h.values) * c * x).sum())
         assert np.array_equal(x.grad, h.values * c.values)
 
@@ -439,7 +455,7 @@ def test_forward_determinism():
     def run():
         x = t64(vals.copy())
         with enable_grad():
-            out = cross_entropy(matmul(x, x).gelu() * x.exp(), [0, 3, 3, 1])
+            out = cross_entropy(matmul(x, x).gelu() * x.gelu(), [0, 3, 3, 1])
             backward(out)
         return out.values.copy(), x.grad.copy()
 
@@ -463,7 +479,10 @@ def test_gradient_fidelity_over_random_instances():
 
 def test_every_free_op_has_an_audit_case():
     """Each differentiable free function the engine exports (one annotated to
-    return a Tensor) is audited by `gair gradcheck` under its own name."""
+    return a Tensor) and each differentiable Tensor method is audited by
+    `gair gradcheck` under its own name; an operator method goes by the op's
+    name (`__add__` by `add`), and `sum` and `mean` by their audit cases
+    over one axis."""
     import inspect
 
     import gair.tensor as T
@@ -472,5 +491,12 @@ def test_every_free_op_has_an_audit_case():
     ops = {name for name in T.__all__
            if inspect.isfunction(getattr(T, name)) and inspect.signature(getattr(T, name)).return_annotation == "Tensor"}
     assert {"matmul", "cross_entropy", "attention"} <= ops
+    not_ops = {"__init__", "__repr__", "zero_grad", "_accumulate", "_coerce"}
+    aliases = {"__add__": "add", "__radd__": "add", "__sub__": "sub", "__mul__": "mul", "__rmul__": "mul",
+               "__matmul__": "matmul", "sum": "sum_axis", "mean": "mean_axis"}
+    methods = {aliases.get(name, name) for name, attr in vars(Tensor).items()
+               if inspect.isfunction(attr) and name not in not_ops}
+    assert {"add", "mul", "scale", "gelu", "reshape", "transpose", "sum_axis"} <= methods
     audited = {name for name, _, _ in audit_cases()}
     assert ops <= audited, f"no audit case for {sorted(ops - audited)}"
+    assert methods <= audited, f"no audit case for Tensor methods {sorted(methods - audited)}"

@@ -311,6 +311,47 @@ class TestTrainStep:
         z_q = [n for n in nodes if any(p is lookup for p in n._parents)]
         assert len(z_q) == 1 and z_q[0]._backward.__qualname__.startswith("l2_normalize_rows.")
 
+    def test_attention_reads_the_projections_and_blocks_hold_no_shape_ops(self, monkeypatch):
+        """Each attention node's parents are exactly the q, k and v matmul
+        outputs of its block's first layer norm, and no reshape or transpose
+        node lies between an encoder block's input and its output."""
+        model = tiny_model()
+        nodes, _ = self.recorded_step(model, monkeypatch)
+
+        def op(node):
+            return node._backward.__qualname__.split(".<locals>")[0].split(".")[-1] if node._backward else None
+
+        children = {id(n): [] for n in nodes}
+        for n in nodes:
+            for p in n._parents:
+                children[id(p)].append(n)
+
+        def reach(start, step):
+            seen, stack = {}, [start]
+            while stack:
+                for m in step(stack.pop()):
+                    if id(m) not in seen:
+                        seen[id(m)] = m
+                        stack.append(m)
+            return seen
+
+        attention_nodes = [n for n in nodes if op(n) == "attention"]
+        assert len(attention_nodes) == 2  # one block in each of the RS and SV encoders
+        norms = {n._parents[1]: n for n in nodes if op(n) == "layer_norm"}
+        for enc in (model.rs, model.sv):
+            bounds = [norms[enc.params[f"{enc.prefix}.{name}.gamma"]]
+                      for name in [f"block{i}.ln1" for i in range(enc.config.depth)] + ["final_ln"]]
+            for i, (ln1, nxt) in enumerate(zip(bounds, bounds[1:])):
+                (attn,) = [n for n in attention_nodes if any(p._parents[0] is ln1 for p in n._parents)]
+                assert [op(p) for p in attn._parents] == ["matmul"] * 3
+                weights = [enc.params[f"{enc.prefix}.block{i}.attn.{w}"] for w in "qkv"]
+                assert all(p._parents[0] is ln1 and p._parents[1] is w for p, w in zip(attn._parents, weights))
+                block_in, block_out = ln1._parents[0], nxt._parents[0]
+                inside = reach(block_in, lambda n: children[id(n)]).keys() & reach(block_out, lambda n: n._parents).keys()
+                inside_ops = {op(n) for n in nodes if id(n) in inside}
+                assert {"attention", "matmul", "gelu", "__add__"} <= inside_ops
+                assert not inside_ops & {"reshape", "transpose"}
+
     def test_shared_first_gradients_are_clipped_once(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         with enable_grad():
