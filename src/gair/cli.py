@@ -245,14 +245,13 @@ def _holdout_embeddings(model: Model, records, holdout: int, batch: int = 64):
     """Embeddings for the trailing holdout split, computed without augmentation."""
     idx = list(range(len(records) - holdout, len(records)))
     rng = np.random.default_rng(0)  # unused: augment off
-    z_all, g_all, cls, reg = [], [], [], []
+    z_all, g_all, cls = [], [], []
     for s in range(0, len(idx), batch):
         chunk = make_batch(records, idx[s : s + batch], rng, augment=False)
         z_all.append(model.localized_rs(chunk.rs, chunk.local_uv).values)
         g_all.append(model.sv.encode_pooled(chunk.sv).values)
         cls.append(chunk.label_class)
-        reg.append(chunk.label_reg)
-    return np.concatenate(z_all), np.concatenate(g_all), np.concatenate(cls), np.concatenate(reg)
+    return np.concatenate(z_all), np.concatenate(g_all), np.concatenate(cls)
 
 
 def cmd_evaluate(args, file_cfg) -> int:
@@ -266,7 +265,7 @@ def cmd_evaluate(args, file_cfg) -> int:
         return EXIT_DATA
     model = state["model"]
     holdout = min(args.holdout, len(records))
-    z, g, cls, _ = _holdout_embeddings(model, records, holdout)
+    z, g, cls = _holdout_embeddings(model, records, holdout)
     truth = np.arange(len(z))
     report = {
         "task": "sv_to_inr_rs_retrieval",

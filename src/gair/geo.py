@@ -75,6 +75,8 @@ class GeoFootprint:
             raise ValueError("footprint requires lat_min < lat_max")
         if self.lon_min < -math.pi or self.lon_max > math.pi:
             raise ValueError("footprint crosses the antimeridian")
+        if self.lat_min < -math.pi / 2 or self.lat_max > math.pi / 2:
+            raise ValueError("footprint extends past a pole")
 
     def contains(self, p: GeoPoint) -> bool:
         return self.lon_min <= p.lon <= self.lon_max and self.lat_min <= p.lat <= self.lat_max

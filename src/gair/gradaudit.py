@@ -49,8 +49,6 @@ def audit_cases(seed: int = 0):
                   [_t(rng, 2, 3, 4), _t(rng, 2, 3, 4), _t(rng, 2, 3, 4)]))
     cases.append(("l2_normalize_rows", lambda a: (l2_normalize_rows(a) * l2_normalize_rows(a).gelu()).sum(), [_t(rng, 3, 5)]))
 
-    cases.append(("unfold3x3", lambda a: (inr.unfold3x3(a) * inr.unfold3x3(a).gelu()).sum(), [_t(rng, 2, 3, 3, 2)]))
-
     d = 3
     ftheta = inr.FThetaParams(weight=_t(rng, 9 * d + 2, d), bias=_t(rng, d))
     cases.append(("f_theta", lambda w, b, z, dl: (inr.f_theta(inr.FThetaParams(w, b), z, dl)).sum(),
@@ -59,10 +57,9 @@ def audit_cases(seed: int = 0):
     queries = rng.uniform(-0.7, 0.7, (3, 2))
 
     def inr_loss(w, b, fm):
-        um = inr.unfold3x3(fm)
-        return inr.inr_query_batch(inr.FThetaParams(w, b), um, queries).sum()
+        return inr.inr_lookup(inr.FThetaParams(w, b), fm, queries).sum()
 
-    cases.append(("inr_query_batch", inr_loss, [_t(rng, 9 * d + 2, d), _t(rng, d), _t(rng, 3, 4, 4, d)]))
+    cases.append(("inr_lookup", inr_loss, [_t(rng, 9 * d + 2, d), _t(rng, d), _t(rng, 3, 4, 4, d)]))
 
     def incl(a, b):
         return objectives.incl_loss(l2_normalize_rows(a), l2_normalize_rows(b), tau=0.5)
@@ -97,7 +94,7 @@ def audit_cases(seed: int = 0):
 
     def pipeline(*params):
         fm = rs_enc.encode_feature_maps(rs_imgs)
-        z = inr.inr_query_batch(inr.FThetaParams(params[-2], params[-1]), inr.unfold3x3(fm), uv)
+        z = inr.inr_lookup(inr.FThetaParams(params[-2], params[-1]), fm, uv)
         g = sv_enc.encode_pooled(sv_imgs)
         e = loc_enc.encode(lonlat)
         return objectives.combined_loss(

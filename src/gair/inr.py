@@ -10,9 +10,14 @@ The decoder is affine, f_theta(z, delta) = z W_z + delta W_delta + b, so the
 ensemble has a closed form: sum_k w_k f_theta(z_k, delta_k) =
 (sum_k w_k z_k) W_z + b. It is exact because the bilinear weights sum to 1
 and reproduce linear functions, so sum_k w_k delta_k = 0 (clamped queries
-are moved onto the hull first). `inr_query_batch` is that formula as one
-autodiff node over (unfolded map, W, b) with its closed-form backward;
-`f_theta` stays as the reference.
+are moved onto the hull first). `inr_lookup` is that formula as one
+autodiff node over (feature map, W, b): it gathers the 3x3 neighborhoods
+of only the four corner cells each query reads, and its closed-form
+backward scatters into those cells alone. `unfold3x3` + `inr_query_batch`
+compute the same values through the whole unfolded map; they are
+forward-only, kept for sharing one unfolded map across many queries
+(`heatmap_inr`) and as the reference, and `f_theta` stays as the
+reference decoder.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "ensemble_weights",
     "f_theta",
     "inr_query_batch",
+    "inr_lookup",
     "bilinear_oracle",
 ]
 
@@ -75,23 +81,16 @@ def unfold3x3(fm: Tensor) -> Tensor:
     """Concatenate each cell's 3x3 neighborhood along channels.
 
     fm has shape (..., H, W, D); output (..., H, W, 9D). Out-of-grid
-    neighbors contribute zero blocks. One graph node: the map is padded
-    once and the nine shifted windows are concatenated; the backward pass
-    adds the nine gradient blocks into a padded buffer and crops it.
+    neighbors contribute zero blocks. Forward-only: the map is padded once
+    and the nine shifted windows are concatenated; `inr_lookup` is the
+    differentiable lookup.
     """
     H, W, D = fm.shape[-3:]
     lead = [(0, 0)] * (fm.ndim - 3)
     padded = np.pad(fm.values, lead + [(1, 1), (1, 1), (0, 0)])
     windows = [(slice(1 + di, 1 + di + H), slice(1 + dj, 1 + dj + W)) for di, dj in _NEIGHBOR_OFFSETS]
     out_vals = np.concatenate([padded[..., r, c, :] for r, c in windows], axis=-1)
-
-    def bwd(g):
-        full = np.zeros(padded.shape, dtype=padded.dtype)
-        for n, (r, c) in enumerate(windows):
-            full[..., r, c, :] += g[..., n * D : (n + 1) * D]
-        fm._accumulate(full[..., 1:-1, 1:-1, :])
-
-    return Tensor._make(out_vals, (fm,), bwd)
+    return Tensor._make(out_vals, (fm,), None)
 
 
 @dataclass
@@ -117,8 +116,8 @@ def ensemble_weights(queries: np.ndarray, P: int) -> EnsembleGeometry:
     if P < 2:
         raise ValueError("local ensemble needs a grid of at least 2x2 patches")
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if np.any(np.abs(q) > 1.0 + 1e-12):
-        bad = q[np.any(np.abs(q) > 1.0 + 1e-12, axis=1)][0]
+    if not np.all(np.abs(q) <= 1.0 + 1e-12):  # a NaN fails this test too
+        bad = q[~np.all(np.abs(q) <= 1.0 + 1e-12, axis=1)][0]
         raise OutOfFootprintError(f"query (u={bad[0]}, v={bad[1]}) outside footprint")
 
     hull = 1.0 - 1.0 / P
@@ -157,12 +156,11 @@ def f_theta(params: FThetaParams, z_k: Tensor, delta: Tensor) -> Tensor:
 
 
 def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray, normalize: bool = True) -> Tensor:
-    """Localized embeddings for one query per sample.
+    """Localized embeddings for one query per sample, from an unfolded map.
 
     unfolded: (N, P, P, 9D); queries: (N, 2) local coordinates. Returns
-    (N, D), L2-normalized unless normalize=False; differentiable back to
-    the feature map and the decoder parameters. The ensemble before the
-    normalization is one node in closed form (see the module docstring).
+    (N, D), L2-normalized unless normalize=False. Forward-only: it equals
+    `inr_lookup` on the map `unfolded` was unfolded from.
     """
     n, P, nine_d = unfolded.shape[0], unfolded.shape[1], unfolded.shape[-1]
     geom = ensemble_weights(queries, P)
@@ -171,19 +169,44 @@ def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray,
     blended = (unfolded.values[cells] * w).sum(axis=1)  # (N, 9D)
     w_z = params.weight.values[:nine_d]
     out_vals = blended @ w_z + params.bias.values
+    out = Tensor._make(out_vals, (unfolded, params.weight, params.bias), None)
+    return l2_normalize_rows(out) if normalize else out
+
+
+def inr_lookup(params: FThetaParams, fm: Tensor, queries: np.ndarray, normalize: bool = True) -> Tensor:
+    """Localized embeddings for one query per sample, read from the feature map.
+
+    fm: (N, P, P, D); queries: (N, 2) local coordinates. Returns (N, D),
+    L2-normalized unless normalize=False; differentiable back to the
+    feature map and the decoder parameters. The ensemble before the
+    normalization is one node in closed form (see the module docstring):
+    each corner's 3x3 neighborhood is gathered from the padded map, offset
+    by offset in `unfold3x3`'s order, so the values equal
+    `inr_query_batch(params, unfold3x3(fm), queries)` bit for bit.
+    """
+    n, P, d = fm.shape[0], fm.shape[1], fm.shape[-1]
+    geom = ensemble_weights(queries, P)
+    padded = np.pad(fm.values, [(0, 0), (1, 1), (1, 1), (0, 0)])
+    cells = [(np.arange(n)[:, None], geom.rows + 1 + di, geom.cols + 1 + dj) for di, dj in _NEIGHBOR_OFFSETS]
+    corners = np.concatenate([padded[c] for c in cells], axis=-1)  # (N, 4, 9D)
+    w = geom.weights[:, :, None].astype(fm.dtype)
+    blended = (corners * w).sum(axis=1)  # (N, 9D)
+    w_z = params.weight.values[: 9 * d]
+    out_vals = blended @ w_z + params.bias.values
 
     def bwd(g):
         params.bias._accumulate(g.sum(axis=0))
         d_weight = np.zeros_like(params.weight.values)
-        d_weight[:nine_d] = blended.T @ g
+        d_weight[: 9 * d] = blended.T @ g
         params.weight._accumulate(d_weight)
-        # A sample's four corners are distinct cells of its own grid, so
-        # plain assignment scatters exactly.
-        d_unfolded = np.zeros_like(unfolded.values)
-        d_unfolded[cells] = (g @ w_z.T)[:, None, :] * w
-        unfolded._accumulate(d_unfolded)
+        # Within one offset a sample's four corners are distinct cells: += is exact.
+        h = (g @ w_z.T)[:, None, :] * w
+        full = np.zeros((n, P + 2, P + 2, d), dtype=fm.dtype)
+        for o, c in enumerate(cells):
+            full[c] += h[..., o * d : (o + 1) * d]
+        fm._accumulate(full[:, 1:-1, 1:-1, :])
 
-    out = Tensor._make(out_vals, (unfolded, params.weight, params.bias), bwd)
+    out = Tensor._make(out_vals, (fm, params.weight, params.bias), bwd)
     return l2_normalize_rows(out) if normalize else out
 
 

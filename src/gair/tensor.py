@@ -10,10 +10,12 @@ The graph is opt-in. Inside `with enable_grad():` an op whose parent
 requires grad records its parents and a closure that accumulates gradients
 into them. Outside, every op computes the same values, bit for bit, and
 keeps neither, so forward-only passes (embedding, heatmaps, probes'
-predictions) hold no graph. Two checks keep the default from failing
-silently: `backward` rejects a root with no recorded graph, and an op
-inside `enable_grad()` rejects a parent computed outside it from tensors
-that require grad, whose gradient would otherwise stop there.
+predictions) hold no graph. Three checks keep the default from failing
+silently: `backward` rejects a root with no recorded graph, an op inside
+`enable_grad()` rejects a parent computed outside it from tensors that
+require grad, whose gradient would otherwise stop there, and a
+forward-only op (a `_make` node with no backward, such as
+`gair.inr.unfold3x3`) rejects a parent that requires grad there.
 
 Where the math has a closed form it is one node: `layer_norm`,
 multi-head `attention` (head split, scores, softmax, mix and head merge
@@ -234,13 +236,15 @@ class Tensor:
     @staticmethod
     def _make(values, parents, backward):
         # Inside enable_grad(), a node joins the graph iff a parent requires
-        # grad, so it does too. Outside, it records nothing.
+        # grad (a forward-only node, backward None, refuses). Outside, it records nothing.
         out = Tensor(values)
         if not _grad_enabled:
             out._untracked = any(p.requires_grad or p._untracked for p in parents)
         elif any(p._untracked for p in parents):
             raise ContractError("an input was computed outside enable_grad() from tensors that require grad; "
                                 "no gradient would reach them, so compute it inside the block")
+        elif backward is None and any(p.requires_grad for p in parents):
+            raise ContractError("a forward-only op got an input that requires grad inside enable_grad()")
         elif any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)

@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datagen import TripleBatch
+from .datagen import TripleBatch, make_batch
 from .encoders import EncoderConfig, ImageEncoder, LocEncoderConfig, LocationEncoder
 from .errors import FormatError, _replacing, require_keys
-from .inr import FThetaParams, inr_query_batch, unfold3x3
+from .inr import FThetaParams, inr_lookup
 from .objectives import LossConfig, MemoryBank, combined_loss, incl_loss, secl_loss
 from .tensor import Tensor, backward, enable_grad
 
@@ -152,7 +152,7 @@ class Model:
 
     def localized_rs(self, rs_images: np.ndarray, local_uv: np.ndarray) -> Tensor:
         fm = self.rs.encode_feature_maps(rs_images)
-        return inr_query_batch(self.ftheta, unfold3x3(fm), local_uv)
+        return inr_lookup(self.ftheta, fm, local_uv)
 
     def configs(self) -> dict:
         return {
@@ -236,7 +236,6 @@ def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_
     """
     bank = bank or MemoryBank(config.loss.bank_capacity)
     optimizer = optimizer or AdamW(model.parameters(), config)
-    from .datagen import make_batch
 
     n = len(records)
     steps_per_epoch = n // config.batch_size  # last incomplete batch dropped

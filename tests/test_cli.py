@@ -103,6 +103,22 @@ class TestPretrain:
         (ds / "manifest.json").write_text(json.dumps({"version": 1}))
         assert main(["pretrain", "--data", str(ds), "--out", str(tmp_path / "o")]) == 3
 
+    def test_footprint_past_the_pole_is_data_error(self, tmp_path, capsys):
+        from gair.datagen import BLOB_MAGIC, DataConfig, _record_dtype
+
+        ds = tmp_path / "ds"
+        assert main(["--config", write_config(tmp_path, "d.json", TINY_DATA), "gen-data", "--out", str(ds)]) == 0
+        data = bytearray((ds / "data.blob").read_bytes())
+        table = np.frombuffer(data, dtype=_record_dtype(DataConfig(**TINY_DATA)), offset=len(BLOB_MAGIC))
+        table["footprint"][0, 2:] = [1.60, 1.62]
+        table["lat"][0] = 1.61
+        (ds / "data.blob").write_bytes(bytes(data))
+        capsys.readouterr()
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
+        assert main(["--config", cfg, "pretrain", "--data", str(ds), "--out", str(tmp_path / "o")]) == 3
+        assert "past a pole" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
     def test_lambda_zero_reports_zero_location_gradient(self, tmp_path, workspace):
         cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
         out = str(tmp_path / "run0")
@@ -233,9 +249,9 @@ class TestEvaluate:
         embeddings = cli._holdout_embeddings
 
         def nonfinite_sv(*args, **kwargs):
-            z, g, cls, reg = embeddings(*args, **kwargs)
+            z, g, cls = embeddings(*args, **kwargs)
             g[0, 0] = np.nan
-            return z, g, cls, reg
+            return z, g, cls
 
         monkeypatch.setattr(cli, "_holdout_embeddings", nonfinite_sv)
         rc = main(["evaluate", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"],

@@ -257,6 +257,18 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"record 2.*at byte offset {start}"):
             read_dataset(manifest_path)
 
+    def test_footprint_past_the_pole_is_format_error(self, tmp_path):
+        cfg = small_cfg(count=12)
+        manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
+        blob = tmp_path / "ds" / "data.blob"
+        data = bytearray(blob.read_bytes())
+        table = np.frombuffer(data, dtype=_record_dtype(cfg), offset=len(BLOB_MAGIC))
+        table["footprint"][0, 2:] = [1.60, 1.62]  # lat_max past pi / 2, with the location inside it
+        table["lat"][0] = 1.61
+        blob.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"record 0: footprint extends past a pole.*at byte offset {len(BLOB_MAGIC)}"):
+            read_dataset(manifest_path)
+
     @pytest.mark.parametrize("field, value", [("lon", math.nan), ("lat", math.inf), ("lat", -math.inf), ("lon", "past_edge")],
                              ids=["nan-lon", "inf-lat", "minus-inf-lat", "lon-outside-footprint"])
     def test_location_outside_footprint_is_format_error(self, tmp_path, field, value):

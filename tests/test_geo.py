@@ -47,6 +47,14 @@ class TestGeoFootprint:
         with pytest.raises(ValueError, match="antimeridian"):
             GeoFootprint(3.0, 3.5, 0.0, 0.1)
 
+    @pytest.mark.parametrize("lat_min, lat_max", [(1.60, 1.62), (-1.62, -1.60), (1.5, math.pi / 2 + 1e-12)])
+    def test_latitudes_past_a_pole_rejected(self, lat_min, lat_max):
+        with pytest.raises(ValueError, match="pole"):
+            GeoFootprint(0.0, 0.1, lat_min, lat_max)
+
+    def test_footprint_reaching_a_pole_accepted(self):
+        assert GeoFootprint(0.0, 0.1, math.pi / 2 - 0.1, math.pi / 2).lat_max == math.pi / 2
+
 
 class TestToLocal:
     def fp(self):

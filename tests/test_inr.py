@@ -7,28 +7,42 @@ from gair.inr import (
     bilinear_oracle,
     ensemble_weights,
     f_theta,
+    inr_lookup,
     inr_query_batch,
     unfold3x3,
 )
-from gair.tensor import Tensor, backward, enable_grad, grad_check
+from gair.tensor import ContractError, Tensor, backward, enable_grad, grad_check
 
 
 def t64(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
 
 
+OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
 def brute_force_unfold(grid: np.ndarray) -> np.ndarray:
     """Index-enumeration reference for the 3x3 unfolding."""
     P, _, D = grid.shape
-    out = np.zeros((P, P, 9 * D))
-    offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+    out = np.zeros((P, P, 9 * D), dtype=grid.dtype)
     for a in range(P):
         for b in range(P):
-            for n, (di, dj) in enumerate(offsets):
+            for n, (di, dj) in enumerate(OFFSETS):
                 ai, bj = a + di, b + dj
                 if 0 <= ai < P and 0 <= bj < P:
                     out[a, b, n * D : (n + 1) * D] = grid[ai, bj]
     return out
+
+
+def unfold_adjoint(g_unfolded: np.ndarray, d: int) -> np.ndarray:
+    """Gradient of the 3x3 unfolding for the upstream gradient g_unfolded
+    (N, P, P, 9D): block n of each cell's gradient goes to the neighbor at
+    offset n, summed over the offsets in raster order."""
+    n, P = g_unfolded.shape[:2]
+    full = np.zeros((n, P + 2, P + 2, d), dtype=g_unfolded.dtype)
+    for o, (di, dj) in enumerate(OFFSETS):
+        full[:, 1 + di : 1 + di + P, 1 + dj : 1 + dj + P] += g_unfolded[..., o * d : (o + 1) * d]
+    return full[:, 1:-1, 1:-1]
 
 
 class TestUnfold:
@@ -109,8 +123,14 @@ class TestEnsembleWeights:
         assert not geom2.clamped[0]
 
     def test_outside_footprint_raises(self):
-        with pytest.raises(OutOfFootprintError):
-            ensemble_weights(np.array([[1.2, 0.0]]), P=4)
+        fm = Tensor(np.ones((1, 3, 3, 2)))
+        for bad in ([1.2, 0.0], [np.nan, 0.0], [0.0, -np.inf]):
+            with pytest.raises(OutOfFootprintError, match=f"u={bad[0]}, v={bad[1]}"):
+                ensemble_weights(np.array([[0.1, 0.2], bad]), P=4)
+            with pytest.raises(OutOfFootprintError):
+                inr_query_batch(FThetaParams.passthrough(2), unfold3x3(fm), np.array([bad]))
+            with pytest.raises(OutOfFootprintError):
+                inr_lookup(FThetaParams.passthrough(2), fm, np.array([bad]))
 
 
 class TestFTheta:
@@ -206,7 +226,7 @@ class TestInrQuery:
         w, b = t64(rng.normal(size=(9 * d + 2, d))), t64(rng.normal(size=(d,)))
 
         def loss(W, B, FM):
-            return inr_query_batch(FThetaParams(W, B), unfold3x3(FM), queries).sum()
+            return inr_lookup(FThetaParams(W, B), FM, queries).sum()
 
         assert grad_check(loss, [w, b, fm], tolerance=1e-4).passed
 
@@ -271,21 +291,40 @@ class TestClosedFormEnsemble:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_node_equals_unfused_chain(self, dtype):
+        """inr_lookup's value and its gradients for (fm, W, b) equal, bit for
+        bit, the unfused chain on the unfolded map composed with the
+        unfolding's adjoint, at P = 4, at P = 2 and on a batch of one."""
         rng = np.random.default_rng(15)
-        P, d, n = 4, 5, 200
-        unfolded = Tensor(rng.normal(size=(n, P, P, 9 * d)).astype(dtype), requires_grad=True)
-        weight = Tensor(rng.normal(size=(9 * d + 2, d)).astype(dtype), requires_grad=True)
-        bias = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
+        for P, d, n in [(4, 5, 200), (2, 3, 40), (3, 4, 1)]:
+            fm = Tensor(rng.normal(size=(n, P, P, d)).astype(dtype), requires_grad=True)
+            weight = Tensor(rng.normal(size=(9 * d + 2, d)).astype(dtype), requires_grad=True)
+            bias = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
+            queries = rng.uniform(-1, 1, size=(n, 2))
+            queries[0] = [0.97, -0.99]  # in the clamped margin at every P
+            assert ensemble_weights(queries, P).clamped.sum() >= max(1, n // 5)
+            g = rng.normal(size=(n, d)).astype(dtype)
+            with enable_grad():
+                out = inr_lookup(FThetaParams(weight, bias), fm, queries, normalize=False)
+                backward((out * Tensor(g)).sum())
+            assert out._parents == (fm, weight, bias)
+            unfolded = np.stack([brute_force_unfold(grid) for grid in fm.values])
+            value, d_unfolded, d_weight, d_bias = chain_ensemble(unfolded, weight.values, bias.values, queries, g)
+            expected = [value, unfold_adjoint(d_unfolded, d), d_weight, d_bias]
+            for got, want in zip([out.values, fm.grad, weight.grad, bias.grad], expected):
+                assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lookup_equals_forward_only_pair(self, dtype, normalize):
+        rng = np.random.default_rng(16)
+        P, d, n = 5, 6, 300
+        fm = Tensor(rng.normal(size=(n, P, P, d)).astype(dtype))
+        params = FThetaParams.init(d, rng, dtype=dtype)
+        params.bias = Tensor(rng.normal(size=d).astype(dtype))
         queries = rng.uniform(-1, 1, size=(n, 2))
         assert ensemble_weights(queries, P).clamped.sum() > n // 5
-        g = rng.normal(size=(n, d)).astype(dtype)
-        with enable_grad():
-            out = inr_query_batch(FThetaParams(weight, bias), unfolded, queries, normalize=False)
-            backward((out * Tensor(g)).sum())
-        assert out._parents == (unfolded, weight, bias)
-        expected = chain_ensemble(unfolded.values, weight.values, bias.values, queries, g)
-        for got, want in zip([out.values, unfolded.grad, weight.grad, bias.grad], expected):
-            assert got.dtype == dtype and np.array_equal(got, want)
+        want = inr_query_batch(params, unfold3x3(fm), queries, normalize=normalize).values
+        assert np.array_equal(inr_lookup(params, fm, queries, normalize=normalize).values, want)
 
     def test_offset_rows_get_exactly_zero_gradient(self):
         rng = np.random.default_rng(14)
@@ -293,10 +332,38 @@ class TestClosedFormEnsemble:
         params = FThetaParams.init(d, rng, dtype=np.float64)
         fm = Tensor(rng.normal(size=(3, 4, 4, d)), requires_grad=True)
         with enable_grad():
-            out = inr_query_batch(params, unfold3x3(fm), rng.uniform(-1, 1, size=(3, 2)))
+            out = inr_lookup(params, fm, rng.uniform(-1, 1, size=(3, 2)))
             backward((out * Tensor(rng.normal(size=out.shape))).sum())
         assert np.all(params.weight.grad[-2:] == 0.0)
         assert np.all(np.abs(params.weight.grad[:-2]).sum(axis=1) > 0.0)
+
+
+class TestForwardOnlyPair:
+    """unfold3x3 and inr_query_batch record no backward: inside enable_grad()
+    they refuse an input that requires grad instead of stopping its gradient."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.params = FThetaParams.init(3, rng, dtype=np.float64)
+        self.fm = Tensor(rng.normal(size=(2, 4, 4, 3)), requires_grad=True)
+        self.queries = rng.uniform(-0.5, 0.5, size=(2, 2))
+
+    def test_unfold_refuses_a_tracked_input(self):
+        with enable_grad(), pytest.raises(ContractError, match="forward-only"):
+            unfold3x3(self.fm)
+
+    def test_query_batch_refuses_tracked_parameters(self):
+        unfolded = unfold3x3(Tensor(self.fm.values))
+        with enable_grad(), pytest.raises(ContractError, match="forward-only"):
+            inr_query_batch(self.params, unfolded, self.queries)
+
+    def test_pair_works_outside_enable_grad_and_on_constants(self):
+        want = inr_lookup(self.params, self.fm, self.queries).values
+        assert np.array_equal(inr_query_batch(self.params, unfold3x3(self.fm), self.queries).values, want)
+        constants = FThetaParams(Tensor(self.params.weight.values), Tensor(self.params.bias.values))
+        with enable_grad():
+            out = inr_query_batch(constants, unfold3x3(Tensor(self.fm.values)), self.queries)
+        assert not out.requires_grad and np.array_equal(out.values, want)
 
 
 def _nearest_cell_only(params, um_grid, q):

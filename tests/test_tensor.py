@@ -482,9 +482,12 @@ def test_every_free_op_has_an_audit_case():
     return a Tensor) and each differentiable Tensor method is audited by
     `gair gradcheck` under its own name; an operator method goes by the op's
     name (`__add__` by `add`), and `sum` and `mean` by their audit cases
-    over one axis."""
+    over one axis. Each function `gair.inr` exports that returns a Tensor is
+    audited too, or is forward-only: inside enable_grad() it refuses an input
+    that requires grad, so no gradient can stop at it silently."""
     import inspect
 
+    import gair.inr as inr
     import gair.tensor as T
     from gair.gradaudit import audit_cases
 
@@ -500,3 +503,19 @@ def test_every_free_op_has_an_audit_case():
     audited = {name for name, _, _ in audit_cases()}
     assert ops <= audited, f"no audit case for {sorted(ops - audited)}"
     assert methods <= audited, f"no audit case for Tensor methods {sorted(methods - audited)}"
+
+    inr_ops = {name for name in inr.__all__
+               if inspect.isfunction(getattr(inr, name)) and inspect.signature(getattr(inr, name)).return_annotation == "Tensor"}
+    assert {"inr_lookup", "unfold3x3", "inr_query_batch"} <= inr_ops
+    rng = np.random.default_rng(0)
+    params = inr.FThetaParams.init(2, rng, dtype=np.float64)
+    fm = Tensor(rng.normal(size=(1, 3, 3, 2)), requires_grad=True)
+    unfolded = inr.unfold3x3(Tensor(fm.values))
+    forward_only = {
+        "unfold3x3": lambda: inr.unfold3x3(fm),
+        "inr_query_batch": lambda: inr.inr_query_batch(params, unfolded, np.zeros((1, 2))),
+    }
+    assert inr_ops - audited == set(forward_only), f"neither audited nor forward-only: {sorted(inr_ops - audited - set(forward_only))}"
+    for call in forward_only.values():
+        with enable_grad(), pytest.raises(ContractError, match="forward-only"):
+            call()

@@ -298,16 +298,20 @@ class TestTrainStep:
         assert all(n.grad is not None for n in nodes if id(n) in params)
 
     def test_inr_lookup_is_one_node(self, monkeypatch):
-        """z_q normalizes one node over the unfolded map and f_theta's W and b."""
+        """z_q normalizes one node over the RS feature map and f_theta's W and
+        b; no unfolded map lies between the encoder and the lookup."""
         model = tiny_model()
         nodes, _ = self.recorded_step(model, monkeypatch)
         readers = [n for n in nodes if any(p is model.ftheta.weight for p in n._parents)]
         assert len(readers) == 1
         lookup = readers[0]
+        assert lookup._backward.__qualname__.startswith("inr_lookup.")
         assert len(lookup._parents) == 3
-        unfolded, weight, bias = lookup._parents
+        fm, weight, bias = lookup._parents
         assert weight is model.ftheta.weight and bias is model.ftheta.bias
-        assert unfolded._backward.__qualname__.startswith("unfold3x3.")
+        c = model.rs.config
+        assert fm.shape == (4, c.grid, c.grid, c.dim)
+        assert fm._backward.__qualname__.startswith("Tensor.reshape.")
         z_q = [n for n in nodes if any(p is lookup for p in n._parents)]
         assert len(z_q) == 1 and z_q[0]._backward.__qualname__.startswith("l2_normalize_rows.")
 
