@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -127,16 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dataset_config(args, file_cfg) -> DataConfig:
-    """Flag > config file > dataclass default; DataConfig checks the values."""
+    """Flag > config file > dataclass default, for every DataConfig field;
+    DataConfig checks the values."""
     d = DataConfig()
-    keys = ("region_deg", "footprint_deg", "rs_size", "sv_size", "temporal_variants", "modes",
-            "sigma_rs", "sigma_sv", "sigma_temporal")
-    return DataConfig(
-        count=_integer(_merged(args, file_cfg, "count", d.count), "count"),
-        seed=_integer(_merged(args, file_cfg, "seed", d.seed), "seed"),
-        **{k: _integer(file_cfg[k], k) if type(getattr(d, k)) is int else float(file_cfg[k])
-           for k in keys if k in file_cfg},
-    )
+    values = {f.name: _merged(args, file_cfg, f.name, getattr(d, f.name)) for f in fields(DataConfig)}
+    return DataConfig(**{k: _integer(v, k) if type(getattr(d, k)) is int else float(v) for k, v in values.items()})
 
 
 def cmd_gen_data(args, file_cfg) -> int:

@@ -3,9 +3,20 @@
 A smooth random Fourier field over a region is the shared ground truth:
 remote-sensing chips sample it on a pixel grid, street-view patterns render
 its value and gradient at one in-footprint location, and probe labels are
-derived from it. Everything is a pure function of (seed, config) via
-counter-based Philox streams, so generation order and parallelism cannot
-change the output.
+derived from it. Everything is a pure function of (seed, config): each
+record draws from its own counter-based Philox stream (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), so generation
+order and parallelism cannot change the output.
+
+`generate_records` fills one preallocated float32 `rs` table and one `sv`
+table, and each record's `rs` and `sv` are views of its rows, as the
+records `read_dataset` loads are. It works in blocks of `_BLOCK` records:
+a short loop per record makes that record's draws from its own stream, and
+the field, gradient and rendering math runs over the whole block at once.
+The blocks run in index order on one thread per usable core, each writing
+a disjoint slice of the tables; numpy releases the GIL in the normal draws
+and in `sin`, where most of the time goes. `gen_triple` runs the same
+block code on one record, inline.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -44,6 +56,9 @@ _DEG = math.pi / 180.0
 # Stream ids for the counter-based split of the master seed.
 _STREAM_WORLD = 0
 _STREAM_RECORD_BASE = 1_000_000
+
+# Records per vectorized block, the unit of work of generate_records' threads.
+_BLOCK = 16
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -78,6 +93,7 @@ class DataConfig:
             raise ValueError("need 0 < footprint_deg <= region_deg < inf")
         if not (0 <= self.inr_hull_margin < 1 and all(s >= 0 for s in (self.sigma_rs, self.sigma_sv, self.sigma_temporal))):
             raise ValueError("need 0 <= inr_hull_margin < 1 and sigma_rs, sigma_sv, sigma_temporal >= 0")
+        self.region()  # raises ValueError for a region past a pole or across the antimeridian
 
     def region(self) -> GeoFootprint:
         lon0 = self.region_lon0_deg * _DEG
@@ -110,8 +126,15 @@ def _field_grid(world: WorldModel, lon: np.ndarray, lat: np.ndarray) -> np.ndarr
     lon_d = np.asarray(lon) / _DEG
     lat_d = np.asarray(lat) / _DEG
     out = np.zeros(np.broadcast(lon_d, lat_d).shape)
+    term = np.empty_like(out)
     for a, f, ph in zip(world.amplitudes, world.frequencies, world.phases):
-        out = out + a * np.sin(2.0 * math.pi * (f[0] * lon_d + f[1] * lat_d) + ph)
+        # out += a * sin(2 pi (f . x) + ph) in place, rounding as that expression does.
+        np.add(f[0] * lon_d, f[1] * lat_d, out=term)
+        term *= 2.0 * math.pi
+        term += ph
+        np.sin(term, out=term)
+        term *= a
+        out += term
     return out
 
 
@@ -157,82 +180,121 @@ def _sv_bases(size: int) -> np.ndarray:
     return np.stack([b0, b1, b2])
 
 
-def render_sv(world: WorldModel, p: GeoPoint, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic rendering of (F, grad F) at p into a noisy pattern.
+def _sv_rendering(world: WorldModel) -> tuple:
+    """The SV bases and the field-wide standard deviations of F, dF/dlon_deg
+    and dF/dlat_deg (closed forms of the mode coefficients).
 
-    Each of the three signals is divided by its own field-wide standard
-    deviation (a closed form of the mode coefficients), so the value and the
-    two gradient components enter the pattern with equal strength.
+    An SV pattern renders (F, grad F) at its location as the bases weighted
+    by each signal over its own deviation, so the value and the two gradient
+    components enter the pattern with equal strength.
+    """
+    a, f = world.amplitudes, world.frequencies
+    stds = (
+        math.sqrt(np.sum(a**2) / 2.0),
+        2.0 * math.pi * math.sqrt(np.sum((a * f[:, 0]) ** 2) / 2.0),
+        2.0 * math.pi * math.sqrt(np.sum((a * f[:, 1]) ** 2) / 2.0),
+    )
+    return _sv_bases(world.config.sv_size), stds
+
+
+def _tables(cfg: DataConfig, count: int) -> tuple:
+    """Unfilled float32 (rs, sv) tables for `count` records."""
+    t, c, h, s = cfg.temporal_variants, cfg.rs_channels, cfg.rs_size, cfg.sv_size
+    return np.empty((count, t, c, h, h), np.float32), np.empty((count, 1, s, s), np.float32)
+
+
+def _fill_block(world: WorldModel, rendering: tuple, start: int, rs: np.ndarray, sv: np.ndarray) -> list:
+    """Generate records start, start + 1, ... into the table slices rs
+    (n, T, C, H, H) and sv (n, 1, s, s); return their TripleRecords.
+
+    Each record draws from its own stream, in a fixed order: the footprint's
+    corner, every temporal variant's normals in one call (the same values as
+    one call per variant, as a stream's draws are sequential), the location,
+    the SV noise. The rest runs over the whole block at once, with the same
+    elementwise arithmetic as for one record.
     """
     cfg = world.config
-    f_val = sample_field(world, p)
-    gx, gy = field_gradient(world, p)
-    a, f = world.amplitudes, world.frequencies
-    std_f = math.sqrt(np.sum(a**2) / 2.0)
-    std_gx = 2.0 * math.pi * math.sqrt(np.sum((a * f[:, 0]) ** 2) / 2.0)
-    std_gy = 2.0 * math.pi * math.sqrt(np.sum((a * f[:, 1]) ** 2) / 2.0)
-    b = _sv_bases(cfg.sv_size)
-    pattern = (f_val / std_f) * b[0] + (gx / std_gx) * b[1] + (gy / std_gy) * b[2]
-    pattern = pattern + cfg.sigma_sv * rng.standard_normal((cfg.sv_size, cfg.sv_size))
-    return pattern[None, :, :].astype(np.float32)
+    n, t, c, h, _ = rs.shape
+    region = cfg.region()
+    side = cfg.footprint_deg * _DEG
+    m = cfg.inr_hull_margin
+    # Per variant: temporal noise on every channel, sensor noise on channel 0,
+    # and, with more than two channels, the pure-noise last channel.
+    noise = np.empty((n, t, c + 1 + (c > 2), h, h))
+    sv_noise = np.empty((n,) + sv.shape[2:])
+    corner = np.empty((n, 2))
+    uv = np.empty((n, 2))
+    for k in range(n):
+        rng = _stream(cfg.seed, _STREAM_RECORD_BASE + start + k)
+        corner[k] = rng.uniform(region.lon_min, region.lon_max - side), rng.uniform(region.lat_min, region.lat_max - side)
+        rng.standard_normal(out=noise[k])
+        uv[k] = rng.uniform(-(1 - m), 1 - m, 2)
+        rng.standard_normal(out=sv_noise[k])
+
+    lon_min, lat_min = corner[:, 0], corner[:, 1]
+    lon_max, lat_max = lon_min + side, lat_min + side
+    dlon, dlat = lon_max - lon_min, lat_max - lat_min
+    # Pixel-center grid, row 0 northernmost.
+    frac = (np.arange(h) + 0.5) / h
+    lats = lat_max[:, None] - frac * dlat[:, None]
+    lons = lon_min[:, None] + frac * dlon[:, None]
+    f_grid = _field_grid(world, lons[:, None, :], lats[:, :, None])
+    # Cheap finite-difference gradient magnitude as a second signal channel.
+    gmag = np.hypot(*np.gradient(f_grid, axis=(1, 2)))
+    gmag /= (np.abs(gmag).reshape(n, h * h).mean(axis=1) + 1e-9)[:, None, None]
+
+    base = np.zeros((n, c, h, h))
+    base[:, 0] = f_grid
+    if c > 1:
+        base[:, 1] = gmag
+    # base + sigma_temporal * noise, computed in the noise buffer.
+    variants = noise[:, :, :c]
+    variants *= cfg.sigma_temporal
+    variants += base[:, None]
+    sensor = noise[:, :, c]
+    sensor *= cfg.sigma_rs
+    variants[:, :, 0] += sensor
+    if c > 2:
+        variants[:, :, -1] = noise[:, :, c + 1]
+    rs[...] = variants
+
+    # Street-view location: uniform inside the footprint's INR-valid hull.
+    points = [GeoPoint(lon, lat) for lon, lat in zip((lon_min + (uv[:, 0] + 1) / 2 * dlon).tolist(),
+                                                      (lat_min + (uv[:, 1] + 1) / 2 * dlat).tolist())]
+    f_loc = _field_grid(world, np.array([p.lon for p in points]), np.array([p.lat for p in points]))
+    bases, stds = rendering
+    signals = np.column_stack([f_loc, [field_gradient(world, p) for p in points]]) / stds
+    pattern = signals[:, 0, None, None] * bases[0] + signals[:, 1, None, None] * bases[1] + signals[:, 2, None, None] * bases[2]
+    sv[:, 0] = pattern + cfg.sigma_sv * sv_noise
+
+    bounds = np.column_stack([lon_min, lon_max, lat_min, lat_max]).tolist()
+    return [TripleRecord(rs=rs[k], sv=sv[k], lon=p.lon, lat=p.lat, label_class=int(f > 0), label_reg=f,
+                         footprint=GeoFootprint(*bounds[k]))
+            for k, (p, f) in enumerate(zip(points, f_loc.tolist()))]
 
 
 def gen_triple(world: WorldModel, index: int) -> TripleRecord:
-    """Generate record `index` from its own counter-derived stream."""
-    cfg = world.config
-    rng = _stream(cfg.seed, _STREAM_RECORD_BASE + index)
-    region = cfg.region()
-    side = cfg.footprint_deg * _DEG
-    lon_min = rng.uniform(region.lon_min, region.lon_max - side)
-    lat_min = rng.uniform(region.lat_min, region.lat_max - side)
-    fp = GeoFootprint(lon_min, lon_min + side, lat_min, lat_min + side)
-
-    h = cfg.rs_size
-    # Pixel-center grid, row 0 northernmost.
-    lats = fp.lat_max - (np.arange(h) + 0.5) / h * (fp.lat_max - fp.lat_min)
-    lons = fp.lon_min + (np.arange(h) + 0.5) / h * (fp.lon_max - fp.lon_min)
-    lon_g, lat_g = np.meshgrid(lons, lats)
-    f_grid = _field_grid(world, lon_g, lat_g)
-    # Cheap finite-difference gradient magnitude as a second signal channel.
-    gmag = np.hypot(*np.gradient(f_grid))
-    gmag = gmag / (np.mean(np.abs(gmag)) + 1e-9)
-
-    base = np.zeros((cfg.rs_channels, h, h))
-    base[0] = f_grid
-    if cfg.rs_channels > 1:
-        base[1] = gmag
-    variants = []
-    for _ in range(cfg.temporal_variants):
-        v = base + cfg.sigma_temporal * rng.standard_normal(base.shape)
-        v[0] += cfg.sigma_rs * rng.standard_normal((h, h))
-        if cfg.rs_channels > 2:
-            v[-1] = rng.standard_normal((h, h))  # pure-noise channel
-        variants.append(v)
-    rs = np.stack(variants).astype(np.float32)
-
-    # Street-view location: uniform inside the footprint's INR-valid hull.
-    m = cfg.inr_hull_margin
-    u = rng.uniform(-(1 - m), 1 - m)
-    v = rng.uniform(-(1 - m), 1 - m)
-    lon = fp.lon_min + (u + 1) / 2 * (fp.lon_max - fp.lon_min)
-    lat = fp.lat_min + (v + 1) / 2 * (fp.lat_max - fp.lat_min)
-    p = GeoPoint(lon, lat)
-    sv = render_sv(world, p, rng)
-    f_loc = sample_field(world, p)
-    return TripleRecord(
-        rs=rs,
-        sv=sv,
-        lon=p.lon,
-        lat=p.lat,
-        label_class=int(f_loc > 0),
-        label_reg=float(f_loc),
-        footprint=fp,
-    )
+    """Generate record `index` from its own counter-derived stream; it equals
+    record `index` of `generate_records(world.config)`."""
+    rs, sv = _tables(world.config, 1)
+    return _fill_block(world, _sv_rendering(world), index, rs, sv)[0]
 
 
 def generate_records(config: DataConfig) -> list:
+    """Records 0 .. count - 1, in order. Blocks of `_BLOCK` records run on one
+    thread per usable core, each filling its own slice of one rs and one sv
+    table; every record's `rs` and `sv` are views of those tables."""
     world = build_world(config)
-    return [gen_triple(world, i) for i in range(config.count)]
+    rendering = _sv_rendering(world)
+    rs, sv = _tables(config, config.count)
+
+    def block(start):
+        return _fill_block(world, rendering, start, rs[start : start + _BLOCK], sv[start : start + _BLOCK])
+
+    starts = range(0, config.count, _BLOCK)
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(starts))) as pool:
+        blocks = list(pool.map(block, starts))
+    return [record for records in blocks for record in records]
 
 
 # -- persistence ---------------------------------------------------------------
@@ -279,9 +341,11 @@ def read_dataset(path) -> tuple:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable manifest {path}: {exc}") from None
-    require_keys(manifest, ("version", "count", "config"), "manifest")
+    require_keys(manifest, ("version", "count", "rng", "config"), "manifest")
     if manifest["version"] != MANIFEST_VERSION:
         raise FormatError(f"unsupported dataset version {manifest['version']!r}")
+    if manifest["rng"] != RNG_ALGORITHM:
+        raise FormatError(f"unsupported dataset rng {manifest['rng']!r}, expected {RNG_ALGORITHM!r}")
     count = manifest["count"]
     if not isinstance(count, int) or count < 1:
         raise FormatError(f"manifest count must be a positive integer, not {count!r}")

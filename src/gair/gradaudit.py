@@ -3,6 +3,8 @@ end-to-end losses, run in 64-bit. Shared by the CLI and the test suite."""
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from . import inr, objectives
@@ -25,60 +27,66 @@ def _t(rng, *shape):
     return Tensor(rng.normal(0, 1, shape), requires_grad=True, dtype=np.float64)
 
 
+def _case_rng(seed: int, name: str) -> np.random.Generator:
+    """A case's own generator, so adding or deleting a case moves no other
+    case's inputs."""
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
+
+
 def audit_cases(seed: int = 0):
     """Yield (name, fn, inputs) triples; each differentiable op appears once."""
-    rng = np.random.default_rng(seed)
     cases = []
 
-    cases.append(("matmul", lambda a, b: matmul(a, b).sum(), [_t(rng, 4, 5), _t(rng, 5, 3)]))
-    cases.append(("add", lambda a, b: (a + b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
-    cases.append(("sub", lambda a, b: (a - b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
-    cases.append(("mul", lambda a, b: (a * b).sum(), [_t(rng, 3, 4), _t(rng, 4)]))
-    cases.append(("scale", lambda a: a.scale(1.7).sum(), [_t(rng, 5)]))
-    cases.append(("gelu", lambda a: a.gelu().sum(), [_t(rng, 4, 3)]))
-    cases.append(("concat", lambda a, b: (concat([a, b], axis=1) * concat([b, a], axis=1)).sum(), [_t(rng, 2, 3), _t(rng, 2, 3)]))
-    cases.append(("reshape", lambda a: (a.reshape(2, 6) * a.reshape(2, 6)).sum(), [_t(rng, 3, 4)]))
-    cases.append(("transpose", lambda a: (a.transpose() @ a).sum(), [_t(rng, 4, 3)]))
-    cases.append(("sum_axis", lambda a: (a.sum(axis=0) * a.sum(axis=0)).sum(), [_t(rng, 3, 4)]))
-    cases.append(("mean_axis", lambda a: (a.mean(axis=1) * a.mean(axis=1)).sum(), [_t(rng, 3, 4)]))
+    # A case's draws beyond its inputs come after them, from the generator
+    # that add returns.
+    def add(name, fn, *shapes):
+        rng = _case_rng(seed, name)
+        cases.append((name, fn, [_t(rng, *shape) for shape in shapes]))
+        return rng
+
+    add("matmul", lambda a, b: matmul(a, b).sum(), (4, 5), (5, 3))
+    add("add", lambda a, b: (a + b).sum(), (3, 4), (4,))
+    add("sub", lambda a, b: (a - b).sum(), (3, 4), (4,))
+    add("mul", lambda a, b: (a * b).sum(), (3, 4), (4,))
+    add("scale", lambda a: a.scale(1.7).sum(), (5,))
+    add("gelu", lambda a: a.gelu().sum(), (4, 3))
+    add("concat", lambda a, b: (concat([a, b], axis=1) * concat([b, a], axis=1)).sum(), (2, 3), (2, 3))
+    add("reshape", lambda a: (a.reshape(2, 6) * a.reshape(2, 6)).sum(), (3, 4))
+    add("transpose", lambda a: (a.transpose() @ a).sum(), (4, 3))
+    add("sum_axis", lambda a: (a.sum(axis=0) * a.sum(axis=0)).sum(), (3, 4))
+    add("mean_axis", lambda a: (a.mean(axis=1) * a.mean(axis=1)).sum(), (3, 4))
     # Repeated targets, as a classification probe's labels have.
-    cases.append(("cross_entropy", lambda a: cross_entropy(a, [4, 0, 4]), [_t(rng, 3, 5)]))
-    cases.append(("layer_norm", lambda x, g, b: (layer_norm(x, g, b) * layer_norm(x, g, b).gelu()).sum(),
-                  [_t(rng, 2, 3, 5), _t(rng, 5), _t(rng, 5)]))
-    cases.append(("attention", lambda q, k, v: (attention(q, k, v, 2) * attention(q, k, v, 2).gelu()).sum(),
-                  [_t(rng, 2, 3, 4), _t(rng, 2, 3, 4), _t(rng, 2, 3, 4)]))
-    cases.append(("l2_normalize_rows", lambda a: (l2_normalize_rows(a) * l2_normalize_rows(a).gelu()).sum(), [_t(rng, 3, 5)]))
+    add("cross_entropy", lambda a: cross_entropy(a, [4, 0, 4]), (3, 5))
+    add("layer_norm", lambda x, g, b: (layer_norm(x, g, b) * layer_norm(x, g, b).gelu()).sum(), (2, 3, 5), (5,), (5,))
+    add("attention", lambda q, k, v: (attention(q, k, v, 2) * attention(q, k, v, 2).gelu()).sum(),
+        (2, 3, 4), (2, 3, 4), (2, 3, 4))
+    add("l2_normalize_rows", lambda a: (l2_normalize_rows(a) * l2_normalize_rows(a).gelu()).sum(), (3, 5))
 
     d = 3
-    ftheta = inr.FThetaParams(weight=_t(rng, 9 * d + 2, d), bias=_t(rng, d))
-    cases.append(("f_theta", lambda w, b, z, dl: (inr.f_theta(inr.FThetaParams(w, b), z, dl)).sum(),
-                  [ftheta.weight, ftheta.bias, _t(rng, 2, 9 * d), _t(rng, 2, 2)]))
-
-    queries = rng.uniform(-0.7, 0.7, (3, 2))
+    add("f_theta", lambda w, b, z, dl: (inr.f_theta(inr.FThetaParams(w, b), z, dl)).sum(),
+        (9 * d + 2, d), (d,), (2, 9 * d), (2, 2))
 
     def inr_loss(w, b, fm):
         return inr.inr_lookup(inr.FThetaParams(w, b), fm, queries).sum()
 
-    cases.append(("inr_lookup", inr_loss, [_t(rng, 9 * d + 2, d), _t(rng, d), _t(rng, 3, 4, 4, d)]))
+    queries = add("inr_lookup", inr_loss, (9 * d + 2, d), (d,), (3, 4, 4, d)).uniform(-0.7, 0.7, (3, 2))
 
     def incl(a, b):
         return objectives.incl_loss(l2_normalize_rows(a), l2_normalize_rows(b), tau=0.5)
 
-    cases.append(("incl_loss", incl, [_t(rng, 4, d), _t(rng, 4, d)]))
-
-    bank = objectives.MemoryBank(16)
-    past = rng.normal(0, 1, (6, d))
-    bank.push(past / np.linalg.norm(past, axis=1, keepdims=True))
+    add("incl_loss", incl, (4, d), (4, d))
 
     def secl(e, z, g):
         return objectives.secl_loss(l2_normalize_rows(e), l2_normalize_rows(z), l2_normalize_rows(g), bank, tau=0.5)
 
-    cases.append(("secl_loss", secl, [_t(rng, 4, d), _t(rng, 4, d), _t(rng, 4, d)]))
+    bank = objectives.MemoryBank(16)
+    past = add("secl_loss", secl, (4, d), (4, d), (4, d)).normal(0, 1, (6, d))
+    bank.push(past / np.linalg.norm(past, axis=1, keepdims=True))
 
     # Combined pipeline: both losses through the interpolation module and
     # small real encoders, differentiated w.r.t. a shared parameter sample.
     enc_cfg = EncoderConfig(channels=1, image_size=8, patch_size=4, dim=4, depth=1, heads=2, ff_width=8)
-    enc_rng = np.random.default_rng(seed + 1)
+    enc_rng = _case_rng(seed, "combined_pipeline")
     rs_enc = ImageEncoder(enc_cfg, enc_rng, prefix="rs", dtype=np.float64)
     sv_enc = ImageEncoder(enc_cfg, enc_rng, prefix="sv", dtype=np.float64)
     loc_enc = LocationEncoder(LocEncoderConfig(freqs=8, sigma=1.0, hidden=8, dim=4), enc_rng, prefix="loc", dtype=np.float64)

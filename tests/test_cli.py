@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from gair.cli import main
+from gair.datagen import read_dataset
 from gair.training import load_checkpoint
 
 TINY_DATA = {
@@ -77,6 +79,24 @@ class TestGenData:
     ], ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()))
     def test_rejected_dataset_value_is_usage_error(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path, "d.json", {**TINY_DATA, "count": 4, **edit})
+        assert main(["--config", cfg, "gen-data", "--out", str(tmp_path / "x")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_every_dataset_field_reaches_the_manifest(self, tmp_path):
+        edit = {"rs_channels": 1, "inr_hull_margin": 0.3, "region_lon0_deg": -70.0, "region_lat0_deg": -20.0}
+        cfg = write_config(tmp_path, "d.json", {**TINY_DATA, "count": 3, **edit})
+        assert main(["--config", cfg, "gen-data", "--out", str(tmp_path / "x")]) == 0
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in edit} == edit
+        records, _ = read_dataset(str(tmp_path / "x"))
+        assert records[0].rs.shape[1] == 1
+        assert records[0].footprint.lon_min >= -70.0 * math.pi / 180 - 1e-12
+
+    @pytest.mark.parametrize("edit", [{"region_lat0_deg": 89.5}, {"region_lon0_deg": 179.5}],
+                             ids=["past-pole", "across-antimeridian"])
+    def test_unusable_region_is_usage_error(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path, "d.json", {**TINY_DATA, "count": 3, **edit})
         assert main(["--config", cfg, "gen-data", "--out", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -224,6 +244,19 @@ class TestEvaluate:
         assert 0.0 <= report["metrics"]["recall@1"] <= 1.0
         assert "probe_linear_accuracy" in report and "probe_nonlinear_accuracy" in report
         assert len(report["config_hash"]) == 16
+
+    @pytest.mark.parametrize("command", ["evaluate", "pretrain"])
+    def test_dataset_from_another_rng_is_data_error(self, workspace, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "data.blob").write_bytes(open(os.path.join(workspace["ds"], "data.blob"), "rb").read())
+        manifest = json.loads(open(os.path.join(workspace["ds"], "manifest.json")).read())
+        (ds / "manifest.json").write_text(json.dumps({**manifest, "rng": "mt19937"}))
+        args = {"evaluate": ["--checkpoint", workspace["ckpt"]], "pretrain": ["--out", str(tmp_path / "o")]}[command]
+        capsys.readouterr()
+        assert main([command, "--data", str(ds), *args]) == 3
+        assert "mt19937" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_checkpoint_header_without_arrays_is_data_error(self, workspace, tmp_path, edit_checkpoint_header):
         bad = tmp_path / "bad.bin"

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from gair import datagen
 from gair.datagen import (
+    _BLOCK,
     BLOB_MAGIC,
     DataConfig,
     _record_dtype,
@@ -133,6 +137,87 @@ class TestGenTriple:
         assert 0.3 < frac < 0.7
 
 
+class TestDataConfig:
+    @pytest.mark.parametrize("edit", [
+        {"region_lat0_deg": 89.5},  # past the north pole
+        {"region_lat0_deg": -90.5},  # past the south pole
+        {"region_lon0_deg": 179.5},  # across the antimeridian
+        {"region_lon0_deg": float("nan")},
+    ], ids=["north-pole", "south-pole", "antimeridian", "nan"])
+    def test_unusable_region_rejected(self, edit):
+        with pytest.raises(ValueError):
+            small_cfg(**edit)
+
+    def test_region_reaching_pole_and_antimeridian_accepted(self):
+        region = small_cfg(region_lon0_deg=179.0, region_lat0_deg=89.0).region()
+        assert region.lon_max == pytest.approx(math.pi) and region.lat_max == pytest.approx(math.pi / 2)
+
+
+def _same_record(a, b) -> bool:
+    return (a.rs.tobytes() == b.rs.tobytes() and a.sv.tobytes() == b.sv.tobytes() and a.footprint == b.footprint
+            and (a.lon, a.lat, a.label_class, a.label_reg) == (b.lon, b.lat, b.label_class, b.label_reg))
+
+
+class TestGenerateRecords:
+    # Two full blocks and a partial one, at small odd sizes.
+    CFG = dict(count=2 * _BLOCK + 3, seed=5, rs_size=5, sv_size=3, temporal_variants=2)
+
+    def test_equals_one_record_at_a_time(self):
+        cfg = small_cfg(**self.CFG)
+        world = build_world(cfg)
+        recs = generate_records(cfg)
+        assert len(recs) == cfg.count
+        assert all(_same_record(r, gen_triple(world, i)) for i, r in enumerate(recs))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_independent_of_usable_cores(self, monkeypatch, cpus):
+        # Three cores give three threads, one per block; a short switch
+        # interval interleaves them as often as the interpreter allows.
+        cfg = small_cfg(**self.CFG)
+        expected = generate_records(cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            recs = generate_records(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(_same_record(a, b) for a, b in zip(recs, expected, strict=True))
+
+    def test_records_are_views_of_one_table(self):
+        cfg = small_cfg(**self.CFG)
+        recs = generate_records(cfg)
+        rs_table, sv_table = recs[0].rs.base, recs[0].sv.base
+        assert rs_table.shape == (cfg.count, cfg.temporal_variants, cfg.rs_channels, cfg.rs_size, cfg.rs_size)
+        assert sv_table.shape == (cfg.count, 1, cfg.sv_size, cfg.sv_size)
+        for i, r in enumerate(recs):
+            assert r.rs.base is rs_table and r.sv.base is sv_table
+            assert np.shares_memory(r.rs, rs_table[i]) and np.shares_memory(r.sv, sv_table[i])
+
+
+class TestPinnedBytes:
+    """sha256 of data.blob, recorded before generation ran in blocks on
+    threads: block size, core count and vectorization must not move a byte."""
+
+    @pytest.mark.parametrize("kw, digest", [
+        (dict(count=40, seed=7), "4ce9ea9880cfdece119edc262730cc70c85ccc7464ef04cacc17a7feb6c3d7d1"),
+        (dict(count=9, seed=3, rs_channels=1, rs_size=7, sv_size=5, temporal_variants=2),
+         "4ea1387802f1a0f01d99c41823715f3a9a38ca68f1d08c24be55af3a8654e4a2"),
+        # One record past a block of 16.
+        (dict(count=17, seed=11, rs_channels=2, rs_size=9, sv_size=7, temporal_variants=3),
+         "6b75ff984ac04a7ffb2783dc913188663ad428b23ef806174e7ebe84445ba5c8"),
+        # Fewer records than a block.
+        (dict(count=5, seed=5, rs_channels=4, rs_size=11, sv_size=9, temporal_variants=1, modes=3, inr_hull_margin=0.3),
+         "cb35259e65f7d498b241a52bd72cb26eecb8bf8ba43294b437c5fc2a1378598f"),
+        (dict(count=33, seed=0, rs_size=3, sv_size=1, region_deg=0.5, footprint_deg=0.1, region_lon0_deg=-120.0,
+              region_lat0_deg=-33.0), "7afc6279df1fb1f08c8b695fecf64f9d74021478551e17ae1650f37108f66e58"),
+    ], ids=["default-40", "1-channel", "2-channels-block-plus-one", "4-channels-below-block", "3-pixels"])
+    def test_blob_digest(self, tmp_path, kw, digest):
+        cfg = DataConfig(**kw)
+        write_dataset(generate_records(cfg), tmp_path, cfg)
+        assert hashlib.sha256((tmp_path / "data.blob").read_bytes()).hexdigest() == digest
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = small_cfg()
@@ -209,8 +294,12 @@ class TestPersistence:
         lambda m: m["config"].update(rs_size=0),
         lambda m: m["config"].update(rs_size=32.0),
         lambda m: m["config"].update(temporal_variants="4"),
+        lambda m: m["config"].update(region_lat0_deg=89.5),
+        lambda m: m.update(rng="mt19937"),
+        lambda m: m.pop("rng"),
     ], ids=["count-str", "count-zero", "count-short", "count-long", "config-list", "config-missing-key",
-            "config-unknown-key", "config-rejected-value", "config-float-size", "config-str-size"])
+            "config-unknown-key", "config-rejected-value", "config-float-size", "config-str-size",
+            "config-region-past-pole", "rng-other", "rng-missing"])
     def test_malformed_manifest_is_format_error(self, tmp_path, edit):
         cfg = small_cfg()
         manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)

@@ -519,3 +519,17 @@ def test_every_free_op_has_an_audit_case():
     for call in forward_only.values():
         with enable_grad(), pytest.raises(ContractError, match="forward-only"):
             call()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_each_audit_case_draws_from_its_own_stream(seed):
+    """A case's first input is the first draw of its own generator, keyed by
+    the seed and the case's name, so adding or deleting a case moves no
+    other case's inputs."""
+    from gair.gradaudit import _case_rng, audit_cases
+
+    for name, _, inputs in audit_cases(seed):
+        first = inputs[0].values
+        # The pipeline's first input is the RS patch embedding, drawn at 1/sqrt(fan-in).
+        scale = 1 / math.sqrt(first.shape[0]) if name == "combined_pipeline" else 1.0
+        assert np.array_equal(first, _case_rng(seed, name).normal(0, scale, first.shape)), name
