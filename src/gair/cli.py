@@ -1,7 +1,8 @@
 """Command-line entry point: data generation, pretraining, evaluation,
 heatmap emission, and the gradient audit.
 
-Exit codes: 0 success, 1 check failure, 2 usage, 3 data/format error,
+Exit codes: 0 success, 1 check failure, 2 usage or an output that cannot
+be written, 3 data/format error (including an input that cannot be read),
 4 numeric divergence. Logs go to stderr; machine-readable output to files
 or stdout. A JSON config file may supply any flag's value; explicit flags
 win. To cap numpy's BLAS worker threads, set OPENBLAS_NUM_THREADS (or
@@ -139,11 +140,8 @@ def cmd_gen_data(args, file_cfg) -> int:
         cfg = _dataset_config(args, file_cfg)
     except (TypeError, ValueError, OverflowError) as exc:
         return _usage_error(f"bad dataset config: {exc}")
-    try:
-        records = generate_records(cfg)
-        manifest_path = write_dataset(records, args.out, cfg)
-    except OSError as exc:
-        return _usage_error(f"cannot write dataset: {exc}")
+    records = generate_records(cfg)
+    manifest_path = write_dataset(records, args.out, cfg)
     region = cfg.region()
     _log(f"wrote {len(records)} records to {manifest_path}")
     print(json.dumps({
@@ -186,11 +184,7 @@ def build_model(data_cfg: dict, seed: int, dim: int = 64, rff_sigma: float = 100
 
 
 def cmd_pretrain(args, file_cfg) -> int:
-    try:
-        records, manifest = read_dataset(args.data)
-    except (FormatError, OSError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    records, manifest = read_dataset(args.data)
     try:
         cfg = _train_config(args, file_cfg)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -198,11 +192,7 @@ def cmd_pretrain(args, file_cfg) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.resume:
-        try:
-            state = load_checkpoint(args.resume)
-        except (FormatError, OSError) as exc:
-            _log(f"error: {exc}")
-            return EXIT_DATA
+        state = load_checkpoint(args.resume)
         model, optimizer, bank, start = state["model"], state["optimizer"], state["bank"], state["step"]
         cfg = state["config"]
     else:
@@ -252,12 +242,8 @@ def _holdout_embeddings(model: Model, records, holdout: int, batch: int = 64):
 def cmd_evaluate(args, file_cfg) -> int:
     if args.holdout < 1:
         return _usage_error("--holdout must be positive")
-    try:
-        state = load_checkpoint(args.checkpoint)
-        records, manifest = read_dataset(args.data)
-    except (FormatError, OSError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    state = load_checkpoint(args.checkpoint)
+    records, manifest = read_dataset(args.data)
     model = state["model"]
     holdout = min(args.holdout, len(records))
     z, g, cls = _holdout_embeddings(model, records, holdout)
@@ -283,12 +269,8 @@ def cmd_evaluate(args, file_cfg) -> int:
 def cmd_heatmap(args, file_cfg) -> int:
     if not 0 < args.resolution < math.inf or args.cells < 1:
         return _usage_error("--resolution must be positive and finite and --cells positive")
-    try:
-        state = load_checkpoint(args.checkpoint)
-        records, _ = read_dataset(args.data)
-    except (FormatError, OSError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
+    state = load_checkpoint(args.checkpoint)
+    records, _ = read_dataset(args.data)
     if not 0 <= args.index < len(records):
         return _usage_error(f"sample index {args.index} out of range (dataset has {len(records)})")
     model = state["model"]
@@ -355,6 +337,8 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         _log(f"error: numeric divergence: {exc}")
         return EXIT_NUMERIC
+    except OSError as exc:
+        return _usage_error(f"cannot write output: {exc}")
 
 
 def main_exit():

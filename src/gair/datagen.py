@@ -8,15 +8,16 @@ record draws from its own counter-based Philox stream (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), so generation
 order and parallelism cannot change the output.
 
-`generate_records` fills one preallocated float32 `rs` table and one `sv`
-table, and each record's `rs` and `sv` are views of its rows, as the
-records `read_dataset` loads are. It works in blocks of `_BLOCK` records:
-a short loop per record makes that record's draws from its own stream, and
-the field, gradient and rendering math runs over the whole block at once.
-The blocks run in index order on one thread per usable core, each writing
-a disjoint slice of the tables; numpy releases the GIL in the normal draws
-and in `sin`, where most of the time goes. `gen_triple` runs the same
-block code on one record, inline.
+Records live in one `_record_dtype` table from generation to disk, the
+layout data.blob stores. `generate_records` fills the table in blocks of
+`_BLOCK` records: a short loop per record makes that record's draws from
+its own stream, and the field, gradient and rendering math runs over the
+whole block at once, writing every column of the block's rows. The blocks
+run in index order on one thread per usable core, each writing a disjoint
+slice of the table; numpy releases the GIL in the normal draws and in
+`sin`, where most of the time goes. `gen_triple` runs the same block code
+on a one-row table. `_records` turns a generated or loaded table into
+`TripleRecord`s whose `rs` and `sv` are views of its rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import FormatError, _replacing, require_keys
-from .geo import GeoFootprint, GeoPoint, to_local
+from .geo import GeoFootprint, GeoPoint, OutOfFootprintError
 
 __all__ = [
     "DataConfig",
@@ -53,9 +54,17 @@ RNG_ALGORITHM = "philox4x64"
 
 _DEG = math.pi / 180.0
 
-# Stream ids for the counter-based split of the master seed.
+# Stream ids for the counter-based split of a seed: `_stream(seed, id)`.
+# The world (data seed), the model's initial weights (model seed) and the
+# probe (probe seed) all use id 0, so when two of those seeds are equal
+# their streams are one stream, and the model's first draws reuse the
+# world's bits. Moving a stream would change the weights it draws.
 _STREAM_WORLD = 0
-_STREAM_RECORD_BASE = 1_000_000
+_STREAM_MODEL_INIT = 0
+_STREAM_PROBE = 0
+_STREAM_RECORD_BASE = 1_000_000  # + record index
+_STREAM_EPOCH_BASE = 2_000_000  # + epoch: the epoch's permutation
+_STREAM_AUGMENT_BASE = 3_000_000  # + step: the step's augmentation draws
 
 # Records per vectorized block, the unit of work of generate_records' threads.
 _BLOCK = 16
@@ -197,15 +206,18 @@ def _sv_rendering(world: WorldModel) -> tuple:
     return _sv_bases(world.config.sv_size), stds
 
 
-def _tables(cfg: DataConfig, count: int) -> tuple:
-    """Unfilled float32 (rs, sv) tables for `count` records."""
+def _record_dtype(cfg: DataConfig) -> np.dtype:
+    """One record, in memory and in data.blob: packed little-endian, its size
+    fixed by the config. Generated and loaded records are rows of one table
+    of this dtype."""
     t, c, h, s = cfg.temporal_variants, cfg.rs_channels, cfg.rs_size, cfg.sv_size
-    return np.empty((count, t, c, h, h), np.float32), np.empty((count, 1, s, s), np.float32)
+    return np.dtype([("rs", "<f4", (t, c, h, h)), ("sv", "<f4", (1, s, s)), ("lon", "<f8"), ("lat", "<f8"),
+                     ("label_class", "<i8"), ("label_reg", "<f8"), ("footprint", "<f8", (4,))])
 
 
-def _fill_block(world: WorldModel, rendering: tuple, start: int, rs: np.ndarray, sv: np.ndarray) -> list:
-    """Generate records start, start + 1, ... into the table slices rs
-    (n, T, C, H, H) and sv (n, 1, s, s); return their TripleRecords.
+def _fill_block(world: WorldModel, rendering: tuple, start: int, rows: np.ndarray) -> None:
+    """Generate records start, start + 1, ... into every column of `rows`,
+    a slice of a `_record_dtype` table.
 
     Each record draws from its own stream, in a fixed order: the footprint's
     corner, every temporal variant's normals in one call (the same values as
@@ -214,14 +226,14 @@ def _fill_block(world: WorldModel, rendering: tuple, start: int, rs: np.ndarray,
     elementwise arithmetic as for one record.
     """
     cfg = world.config
-    n, t, c, h, _ = rs.shape
+    n, t, c, h, s = len(rows), cfg.temporal_variants, cfg.rs_channels, cfg.rs_size, cfg.sv_size
     region = cfg.region()
     side = cfg.footprint_deg * _DEG
     m = cfg.inr_hull_margin
     # Per variant: temporal noise on every channel, sensor noise on channel 0,
     # and, with more than two channels, the pure-noise last channel.
     noise = np.empty((n, t, c + 1 + (c > 2), h, h))
-    sv_noise = np.empty((n,) + sv.shape[2:])
+    sv_noise = np.empty((n, s, s))
     corner = np.empty((n, 2))
     uv = np.empty((n, 2))
     for k in range(n):
@@ -256,55 +268,66 @@ def _fill_block(world: WorldModel, rendering: tuple, start: int, rs: np.ndarray,
     variants[:, :, 0] += sensor
     if c > 2:
         variants[:, :, -1] = noise[:, :, c + 1]
-    rs[...] = variants
+    rows["rs"] = variants
 
     # Street-view location: uniform inside the footprint's INR-valid hull.
-    points = [GeoPoint(lon, lat) for lon, lat in zip((lon_min + (uv[:, 0] + 1) / 2 * dlon).tolist(),
-                                                      (lat_min + (uv[:, 1] + 1) / 2 * dlat).tolist())]
-    f_loc = _field_grid(world, np.array([p.lon for p in points]), np.array([p.lat for p in points]))
+    lon = lon_min + (uv[:, 0] + 1) / 2 * dlon
+    lat = lat_min + (uv[:, 1] + 1) / 2 * dlat
+    f_loc = _field_grid(world, lon, lat)
     bases, stds = rendering
-    signals = np.column_stack([f_loc, [field_gradient(world, p) for p in points]]) / stds
+    gradients = [field_gradient(world, GeoPoint(*p)) for p in zip(lon.tolist(), lat.tolist())]
+    signals = np.column_stack([f_loc, gradients]) / stds
     pattern = signals[:, 0, None, None] * bases[0] + signals[:, 1, None, None] * bases[1] + signals[:, 2, None, None] * bases[2]
-    sv[:, 0] = pattern + cfg.sigma_sv * sv_noise
+    rows["sv"][:, 0] = pattern + cfg.sigma_sv * sv_noise
+    rows["lon"], rows["lat"] = lon, lat
+    rows["label_class"], rows["label_reg"] = f_loc > 0, f_loc
+    rows["footprint"] = np.column_stack([lon_min, lon_max, lat_min, lat_max])
 
-    bounds = np.column_stack([lon_min, lon_max, lat_min, lat_max]).tolist()
-    return [TripleRecord(rs=rs[k], sv=sv[k], lon=p.lon, lat=p.lat, label_class=int(f > 0), label_reg=f,
-                         footprint=GeoFootprint(*bounds[k]))
-            for k, (p, f) in enumerate(zip(points, f_loc.tolist()))]
+
+def _records(table: np.ndarray) -> list:
+    """The TripleRecords of a `_record_dtype` table; each record's `rs` and
+    `sv` are views of its row. A footprint that GeoFootprint rejects, or a
+    location outside its footprint, raises FormatError at the row's offset
+    in data.blob."""
+    columns = zip(table["rs"], table["sv"], table["lon"].tolist(), table["lat"].tolist(),
+                  table["label_class"].tolist(), table["label_reg"].tolist(), table["footprint"].tolist())
+    records = []
+    for i, (rs, sv, lon, lat, label_class, label_reg, bounds) in enumerate(columns):
+        offset = len(BLOB_MAGIC) + i * table.itemsize
+        try:
+            footprint = GeoFootprint(*bounds)
+        except ValueError as exc:
+            raise FormatError(f"record {i}: {exc}", offset=offset) from None
+        # The generator places every location inside its footprint; the
+        # comparisons are False for NaN, so a NaN location is rejected too.
+        if not (footprint.lon_min <= lon <= footprint.lon_max and footprint.lat_min <= lat <= footprint.lat_max):
+            raise FormatError(f"record {i}: location ({lon}, {lat}) lies outside its footprint", offset=offset)
+        records.append(TripleRecord(rs, sv, lon, lat, label_class, label_reg, footprint))
+    return records
 
 
 def gen_triple(world: WorldModel, index: int) -> TripleRecord:
     """Generate record `index` from its own counter-derived stream; it equals
     record `index` of `generate_records(world.config)`."""
-    rs, sv = _tables(world.config, 1)
-    return _fill_block(world, _sv_rendering(world), index, rs, sv)[0]
+    table = np.empty(1, _record_dtype(world.config))
+    _fill_block(world, _sv_rendering(world), index, table)
+    return _records(table)[0]
 
 
 def generate_records(config: DataConfig) -> list:
-    """Records 0 .. count - 1, in order. Blocks of `_BLOCK` records run on one
-    thread per usable core, each filling its own slice of one rs and one sv
-    table; every record's `rs` and `sv` are views of those tables."""
+    """Records 0 .. count - 1, in order, as the rows of one `_record_dtype`
+    table. Blocks of `_BLOCK` records run on one thread per usable core, each
+    filling its own slice of the table."""
     world = build_world(config)
     rendering = _sv_rendering(world)
-    rs, sv = _tables(config, config.count)
-
-    def block(start):
-        return _fill_block(world, rendering, start, rs[start : start + _BLOCK], sv[start : start + _BLOCK])
-
+    table = np.empty(config.count, _record_dtype(config))
     starts = range(0, config.count, _BLOCK)
     with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(starts))) as pool:
-        blocks = list(pool.map(block, starts))
-    return [record for records in blocks for record in records]
+        list(pool.map(lambda start: _fill_block(world, rendering, start, table[start : start + _BLOCK]), starts))
+    return _records(table)
 
 
 # -- persistence ---------------------------------------------------------------
-
-
-def _record_dtype(cfg: DataConfig) -> np.dtype:
-    """One data.blob record: packed little-endian, its size fixed by the config."""
-    t, c, h, s = cfg.temporal_variants, cfg.rs_channels, cfg.rs_size, cfg.sv_size
-    return np.dtype([("rs", "<f4", (t, c, h, h)), ("sv", "<f4", (1, s, s)), ("lon", "<f8"), ("lat", "<f8"),
-                     ("label_class", "<i8"), ("label_reg", "<f8"), ("footprint", "<f8", (4,))])
 
 
 def write_dataset(records: list, out_dir, config: DataConfig) -> str:
@@ -333,7 +356,7 @@ def write_dataset(records: list, out_dir, config: DataConfig) -> str:
 
 def read_dataset(path) -> tuple:
     """Load (records, manifest) from a manifest path or dataset directory;
-    every record's `rs` and `sv` are views of one table read from data.blob."""
+    the records are the rows of one `_record_dtype` table read from data.blob."""
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
     try:
@@ -355,28 +378,17 @@ def read_dataset(path) -> tuple:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed manifest config: {exc}") from None
     expected = len(BLOB_MAGIC) + count * dtype.itemsize
-    with open(os.path.join(os.path.dirname(path), "data.blob"), "rb") as fh:
-        if fh.read(len(BLOB_MAGIC)) != BLOB_MAGIC:
-            raise FormatError("bad blob magic", offset=0)
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise FormatError(f"blob truncated or overlong: expected {expected} bytes, found {size}", offset=min(size, expected))
-        table = np.fromfile(fh, dtype=dtype, count=count)
-    columns = zip(table["rs"], table["sv"], table["lon"].tolist(), table["lat"].tolist(),
-                  table["label_class"].tolist(), table["label_reg"].tolist(), table["footprint"].tolist())
-    records = []
-    for i, (rs, sv, lon, lat, label_class, label_reg, bounds) in enumerate(columns):
-        offset = len(BLOB_MAGIC) + i * dtype.itemsize
-        try:
-            footprint = GeoFootprint(*bounds)
-        except ValueError as exc:
-            raise FormatError(f"record {i}: {exc}", offset=offset) from None
-        # The generator places every location inside its footprint; the
-        # comparisons are False for NaN, so a NaN location is rejected too.
-        if not (footprint.lon_min <= lon <= footprint.lon_max and footprint.lat_min <= lat <= footprint.lat_max):
-            raise FormatError(f"record {i}: location ({lon}, {lat}) lies outside its footprint", offset=offset)
-        records.append(TripleRecord(rs, sv, lon, lat, label_class, label_reg, footprint))
-    return records, manifest
+    try:
+        with open(os.path.join(os.path.dirname(path), "data.blob"), "rb") as fh:
+            if fh.read(len(BLOB_MAGIC)) != BLOB_MAGIC:
+                raise FormatError("bad blob magic", offset=0)
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise FormatError(f"blob truncated or overlong: expected {expected} bytes, found {size}", offset=min(size, expected))
+            table = np.fromfile(fh, dtype=dtype, count=count)
+    except OSError as exc:
+        raise FormatError(f"unreadable blob: {exc}") from None
+    return _records(table), manifest
 
 
 # -- batching ------------------------------------------------------------------
@@ -394,37 +406,39 @@ class TripleBatch:
 
 
 def make_batch(records: list, indices, rng: np.random.Generator, augment: bool = True) -> TripleBatch:
-    rs_list, sv_list, lonlat, uv, lc, lr, flips = [], [], [], [], [], [], []
+    picked, variants, flips = [], [], []
     for idx in indices:
         if not 0 <= idx < len(records):
             raise IndexError(f"record index {idx} out of range")
         r = records[idx]
-        t = rng.integers(r.rs.shape[0]) if augment else 0
-        rs = r.rs[t]
-        sv = r.sv
-        local = to_local(r.footprint, GeoPoint(r.lon, r.lat))
-        u, v = local.u, local.v
-        # Horizontal flip applies to the overhead image only (columns plus a
-        # negated query u), which reads the same field values. The ground
-        # pattern is a fixed signed rendering: mirroring it would change the
-        # encoded values, not just the viewpoint, so it stays as is.
-        flip = bool(augment and rng.random() < 0.5)
-        if flip:
-            rs = rs[:, :, ::-1]
-            u = -u
-        rs_list.append(np.ascontiguousarray(rs))
-        sv_list.append(np.ascontiguousarray(sv))
-        lonlat.append((r.lon, r.lat))
-        uv.append((u, v))
-        lc.append(r.label_class)
-        lr.append(r.label_reg)
-        flips.append(flip)
+        # Each sample draws its temporal variant, then its flip.
+        variants.append(r.rs[rng.integers(r.rs.shape[0]) if augment else 0])
+        flips.append(bool(augment and rng.random() < 0.5))
+        picked.append(r)
+    lonlat = np.array([(r.lon, r.lat) for r in picked])
+    lon, lat = lonlat.T
+    lon_min, lon_max, lat_min, lat_max = np.array(
+        [(r.footprint.lon_min, r.footprint.lon_max, r.footprint.lat_min, r.footprint.lat_max) for r in picked]).T
+    outside = ~((lon_min <= lon) & (lon <= lon_max) & (lat_min <= lat) & (lat <= lat_max))
+    if outside.any():
+        k = int(outside.argmax())
+        raise OutOfFootprintError(f"point (lon={lon[k]}, lat={lat[k]}) outside footprint {picked[k].footprint}")
+    # to_local's affine map, element by element.
+    u = 2.0 * (lon - lon_min) / (lon_max - lon_min) - 1.0
+    v = 2.0 * (lat - lat_min) / (lat_max - lat_min) - 1.0
+    # Horizontal flip applies to the overhead image only (columns plus a
+    # negated query u), which reads the same field values. The ground
+    # pattern is a fixed signed rendering: mirroring it would change the
+    # encoded values, not just the viewpoint, so it stays as is.
+    flipped = np.array(flips)
+    rs = np.stack(variants)
+    rs[flipped] = rs[flipped, :, :, ::-1]
     return TripleBatch(
-        rs=np.stack(rs_list),
-        sv=np.stack(sv_list),
-        lonlat=np.array(lonlat),
-        local_uv=np.array(uv),
-        label_class=np.array(lc),
-        label_reg=np.array(lr),
-        flipped=np.array(flips),
+        rs=rs,
+        sv=np.stack([r.sv for r in picked]),
+        lonlat=lonlat,
+        local_uv=np.column_stack([np.where(flipped, -u, u), v]),
+        label_class=np.array([r.label_class for r in picked]),
+        label_reg=np.array([r.label_reg for r in picked]),
+        flipped=flipped,
     )

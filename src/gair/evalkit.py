@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import _STREAM_PROBE, _stream
 from .geo import GeoFootprint, GeoPoint
 from .inr import inr_query_batch
 from .tensor import Tensor, backward, cross_entropy, enable_grad, matmul
@@ -89,7 +90,7 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
     """
     if len(embeddings) != len(labels):
         raise ValueError("embedding/label count mismatch")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _stream(seed, _STREAM_PROBE)
     n = len(embeddings)
     n_val = max(1, int(n * val_fraction))
     x_tr, x_va = embeddings[: n - n_val], embeddings[n - n_val :]

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datagen import TripleBatch, make_batch
+from .datagen import _STREAM_AUGMENT_BASE, _STREAM_EPOCH_BASE, _STREAM_MODEL_INIT, TripleBatch, _stream, make_batch
 from .encoders import EncoderConfig, ImageEncoder, LocEncoderConfig, LocationEncoder
 from .errors import FormatError, _replacing, require_keys
 from .inr import FThetaParams, inr_lookup
@@ -134,7 +134,7 @@ class Model:
     def __init__(self, rs_config: EncoderConfig, sv_config: EncoderConfig, loc_config: LocEncoderConfig, seed: int, dtype=np.float32):
         if rs_config.dim != sv_config.dim or rs_config.dim != loc_config.dim:
             raise ValueError("all encoders must share the embedding dimension")
-        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(0))))
+        rng = _stream(seed, _STREAM_MODEL_INIT)
         self.rs = ImageEncoder(rs_config, rng, prefix="rs", dtype=dtype)
         self.sv = ImageEncoder(sv_config, rng, prefix="sv", dtype=dtype)
         self.loc = LocationEncoder(loc_config, rng, prefix="loc", dtype=dtype)
@@ -232,7 +232,8 @@ def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_
     """Run the full training loop; deterministic given (model seed, config).
 
     Epoch shuffling and augmentation draw from counter-based streams keyed
-    by (seed, epoch), so a resumed run replays the identical batches.
+    by (seed, epoch) and (seed, step), so a resumed run replays the
+    identical batches.
     """
     bank = bank or MemoryBank(config.loss.bank_capacity)
     optimizer = optimizer or AdamW(model.parameters(), config)
@@ -242,29 +243,22 @@ def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_
     if steps_per_epoch == 0:
         raise ValueError("dataset smaller than one batch")
     total_steps = steps_per_epoch * config.epochs
-    step = start_step
     metrics_log = []
-    while step < total_steps:
-        epoch = step // steps_per_epoch
-        perm_rng = np.random.Generator(np.random.Philox(key=(np.uint64(config.seed), np.uint64(2_000_000 + epoch))))
-        perm = perm_rng.permutation(n)
-        for b in range(steps_per_epoch):
-            global_step = epoch * steps_per_epoch + b
-            if global_step < step:
-                continue
-            aug_rng = np.random.Generator(np.random.Philox(key=(np.uint64(config.seed), np.uint64(3_000_000 + global_step))))
-            idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
-            batch = make_batch(records, idx, aug_rng, augment=True)
-            lr = lr_at(config, global_step, total_steps)
-            metrics = train_step(model, batch, bank, optimizer, config, lr)
-            metrics.update(step=global_step, lr=lr)
-            metrics_log.append(metrics)
-            if metrics_fh is not None:
-                metrics_fh.write(json.dumps(metrics, sort_keys=True) + "\n")
-                metrics_fh.flush()
-            step = global_step + 1
-            if checkpoint_dir and config.eval_every and step % config.eval_every == 0:
-                save_checkpoint(os.path.join(checkpoint_dir, f"ckpt_{step:06d}.bin"), model, optimizer, bank, config, step)
+    for step in range(start_step, total_steps):
+        epoch, b = divmod(step, steps_per_epoch)
+        if b == 0 or step == start_step:
+            perm = _stream(config.seed, _STREAM_EPOCH_BASE + epoch).permutation(n)
+        idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
+        batch = make_batch(records, idx, _stream(config.seed, _STREAM_AUGMENT_BASE + step), augment=True)
+        lr = lr_at(config, step, total_steps)
+        metrics = train_step(model, batch, bank, optimizer, config, lr)
+        metrics.update(step=step, lr=lr)
+        metrics_log.append(metrics)
+        if metrics_fh is not None:
+            metrics_fh.write(json.dumps(metrics, sort_keys=True) + "\n")
+            metrics_fh.flush()
+        if checkpoint_dir and config.eval_every and (step + 1) % config.eval_every == 0:
+            save_checkpoint(os.path.join(checkpoint_dir, f"ckpt_{step + 1:06d}.bin"), model, optimizer, bank, config, step + 1)
     return model, optimizer, bank, metrics_log
 
 
@@ -313,8 +307,11 @@ def save_checkpoint(path, model: Model, optimizer: AdamW, bank: MemoryBank, conf
 
 def load_checkpoint(path) -> dict:
     """Returns dict with model, optimizer state arrays, bank, config, step."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"unreadable checkpoint {path}: {exc}") from None
     if raw[:8] != CKPT_MAGIC:
         raise FormatError("bad checkpoint magic", offset=0)
     if len(raw) < 20:

@@ -101,6 +101,12 @@ class TestGenData:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_out_under_a_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        cfg = write_config(tmp_path, "d.json", TINY_DATA)
+        assert main(["--config", cfg, "gen-data", "--out", str(tmp_path / "f" / "ds")]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
     def test_unreadable_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -116,6 +122,20 @@ class TestPretrain:
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(["pretrain", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
+
+    def test_out_under_a_file_is_usage_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
+        capsys.readouterr()
+        assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "f" / "run")]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
+    def test_missing_resume_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
+        capsys.readouterr()
+        assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"),
+                     "--resume", str(tmp_path / "nope.bin")]) == 3
+        assert "unreadable checkpoint" in capsys.readouterr().err
 
     def test_manifest_without_schema_keys_is_data_error(self, tmp_path):
         ds = tmp_path / "ds"
@@ -292,6 +312,16 @@ class TestEvaluate:
         assert rc == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_out_under_a_missing_directory_is_usage_error(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        rc = main(["evaluate", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"], "--holdout", "8",
+                   "--out", str(tmp_path / "missing" / "r.json")])
+        assert rc == 2
+        assert "cannot write output" in capsys.readouterr().err
+
+    def test_missing_checkpoint_is_data_error(self, workspace, tmp_path):
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "nope.bin"), "--data", workspace["ds"]]) == 3
+
     def test_corrupt_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.bin"
         data = bytearray(open(workspace["ckpt"], "rb").read())
@@ -338,6 +368,13 @@ class TestHeatmap:
                    "--index", "0", "--out", str(tmp_path / "x"), *flags])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_out_under_a_missing_directory_is_usage_error(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        rc = main(["heatmap", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"],
+                   "--index", "0", "--out", str(tmp_path / "missing" / "hm")])
+        assert rc == 2
+        assert "cannot write output" in capsys.readouterr().err
 
     def test_index_out_of_range_is_usage_error(self, workspace, tmp_path):
         rc = main(["heatmap", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"],

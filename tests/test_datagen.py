@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from gair.datagen import (
     write_dataset,
 )
 from gair.errors import FormatError
-from gair.geo import GeoPoint, to_local
+from gair.geo import GeoPoint, OutOfFootprintError, to_local
 
 DEG = math.pi / 180.0
 
@@ -184,15 +185,20 @@ class TestGenerateRecords:
             sys.setswitchinterval(interval)
         assert all(_same_record(a, b) for a, b in zip(recs, expected, strict=True))
 
-    def test_records_are_views_of_one_table(self):
+    def test_records_are_views_of_one_table(self, tmp_path):
+        # Generated and loaded records alike are the rows of one table of
+        # the record layout data.blob stores.
         cfg = small_cfg(**self.CFG)
         recs = generate_records(cfg)
-        rs_table, sv_table = recs[0].rs.base, recs[0].sv.base
-        assert rs_table.shape == (cfg.count, cfg.temporal_variants, cfg.rs_channels, cfg.rs_size, cfg.rs_size)
-        assert sv_table.shape == (cfg.count, 1, cfg.sv_size, cfg.sv_size)
-        for i, r in enumerate(recs):
-            assert r.rs.base is rs_table and r.sv.base is sv_table
-            assert np.shares_memory(r.rs, rs_table[i]) and np.shares_memory(r.sv, sv_table[i])
+        loaded, _ = read_dataset(write_dataset(recs, tmp_path, cfg))
+        for records in (recs, loaded):
+            table = records[0].rs.base
+            assert table.dtype == _record_dtype(cfg) and table.shape == (cfg.count,)
+            for i, r in enumerate(records):
+                assert r.rs.base is table and r.sv.base is table
+                assert np.shares_memory(r.rs, table[i]) and np.shares_memory(r.sv, table[i])
+                assert not np.shares_memory(r.rs, table[i - 1]) and r.rs.flags.c_contiguous
+                assert (r.lon, r.lat, r.label_reg) == (table["lon"][i], table["lat"][i], table["label_reg"][i])
 
 
 class TestPinnedBytes:
@@ -391,12 +397,81 @@ class TestPersistence:
         with pytest.raises(FormatError, match="unreadable manifest"):
             read_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("blob", ["missing", "directory"])
+    def test_unopenable_blob_is_format_error(self, tmp_path, blob):
+        cfg = small_cfg()
+        manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
+        os.remove(tmp_path / "ds" / "data.blob")
+        if blob == "directory":
+            os.mkdir(tmp_path / "ds" / "data.blob")
+        with pytest.raises(FormatError, match="unreadable blob"):
+            read_dataset(manifest_path)
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_dataset([], tmp_path / "ds", small_cfg())
 
 
+def _make_batch_per_sample(records, indices, rng, augment=True):
+    """make_batch as one loop per sample through GeoPoint and to_local, the
+    reference its array operations must equal bit for bit."""
+    rs_list, sv_list, lonlat, uv, lc, lr, flips = [], [], [], [], [], [], []
+    for idx in indices:
+        if not 0 <= idx < len(records):
+            raise IndexError(f"record index {idx} out of range")
+        r = records[idx]
+        t = rng.integers(r.rs.shape[0]) if augment else 0
+        rs = r.rs[t]
+        sv = r.sv
+        local = to_local(r.footprint, GeoPoint(r.lon, r.lat))
+        u, v = local.u, local.v
+        flip = bool(augment and rng.random() < 0.5)
+        if flip:
+            rs = rs[:, :, ::-1]
+            u = -u
+        rs_list.append(np.ascontiguousarray(rs))
+        sv_list.append(np.ascontiguousarray(sv))
+        lonlat.append((r.lon, r.lat))
+        uv.append((u, v))
+        lc.append(r.label_class)
+        lr.append(r.label_reg)
+        flips.append(flip)
+    return dict(rs=np.stack(rs_list), sv=np.stack(sv_list), lonlat=np.array(lonlat), local_uv=np.array(uv),
+                label_class=np.array(lc), label_reg=np.array(lr), flipped=np.array(flips))
+
+
 class TestMakeBatch:
+    @pytest.mark.parametrize("augment", [True, False])
+    @pytest.mark.parametrize("variants", [1, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_equals_per_sample_loop(self, tmp_path, augment, variants, seed):
+        cfg = small_cfg(count=24, seed=seed, rs_size=7, temporal_variants=variants)
+        recs = generate_records(cfg)
+        loaded, _ = read_dataset(write_dataset(recs, tmp_path, cfg))
+        indices = np.random.default_rng(seed).permutation(len(recs))[:16].tolist() + [3, 3]
+        for records in (recs, loaded):
+            got = make_batch(records, indices, np.random.default_rng(seed), augment=augment)
+            want = _make_batch_per_sample(records, indices, np.random.default_rng(seed), augment=augment)
+            assert augment == bool(want["flipped"].any())
+            for name, expected in want.items():
+                value = getattr(got, name)
+                assert value.dtype == expected.dtype and value.shape == expected.shape, name
+                assert value.tobytes() == expected.tobytes(), name
+                assert (value.flags.c_contiguous, value.flags.f_contiguous) == (expected.flags.c_contiguous,
+                                                                                expected.flags.f_contiguous), name
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: dict(lon=r.footprint.lon_max + 1e-6),
+        lambda r: dict(lat=r.footprint.lat_min - 1e-6),
+        lambda r: dict(lon=math.nan),
+    ], ids=["east-of-footprint", "south-of-footprint", "nan-lon"])
+    def test_location_outside_footprint_raises(self, edit):
+        recs = generate_records(small_cfg())
+        recs[1] = dataclasses.replace(recs[1], **edit(recs[1]))
+        make_batch(recs, [0, 2], np.random.default_rng(0))
+        with pytest.raises(OutOfFootprintError):
+            make_batch(recs, [0, 1, 2], np.random.default_rng(0))
+
     def test_no_augment_is_deterministic(self):
         recs = generate_records(small_cfg())
         a = make_batch(recs, [0, 3, 5], np.random.default_rng(0), augment=False)

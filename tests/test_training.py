@@ -492,6 +492,10 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
+    def test_missing_file_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="unreadable checkpoint"):
+            load_checkpoint(tmp_path / "nope.bin")
+
     def test_truncation_rejected(self, tmp_path):
         _, _, _, _, path = self.run_short(tmp_path)
         path.write_bytes(path.read_bytes()[:-64])
