@@ -9,7 +9,7 @@ small numpy reverse-mode autodiff engine.
 """
 
 from .tensor import Tensor, backward, enable_grad, grad_check
-from .geo import GeoPoint, GeoFootprint, LocalCoord, to_local, from_local, patch_center, equal_earth
+from .geo import GeoPoint, GeoFootprint, LocalCoord, to_local, local_uv, local_lonlat, cell_centers, equal_earth
 from .encoders import EncoderConfig, LocEncoderConfig, ImageEncoder, LocationEncoder, rff_features
 from .inr import FThetaParams, unfold3x3, ensemble_weights, f_theta, inr_query_batch, inr_lookup
 from .objectives import LossConfig, MemoryBank, sim_matrix, incl_loss, secl_loss, combined_loss

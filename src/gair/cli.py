@@ -25,7 +25,7 @@ from .datagen import DataConfig, generate_records, make_batch, read_dataset, wri
 from .encoders import EncoderConfig, LocEncoderConfig
 from .errors import FormatError
 from .evalkit import fit_probe, heatmap_inr, heatmap_loc, retrieval_metrics, write_heatmap_csv, write_heatmap_pgm
-from .geo import GeoPoint
+from .geo import GeoPoint, footprint_center
 from .inr import unfold3x3
 from .objectives import LossConfig
 from .training import Model, TrainConfig, load_checkpoint, save_checkpoint, train
@@ -176,7 +176,8 @@ def _train_config(args, file_cfg) -> TrainConfig:
     )
 
 
-def build_model(data_cfg: dict, seed: int, dim: int = 64, rff_sigma: float = 1000.0, rff_sigma_min: float = 0.0) -> Model:
+def build_model(data_cfg: dict, seed: int, dim: int = EncoderConfig.dim, rff_sigma: float = LocEncoderConfig.sigma,
+                rff_sigma_min: float = LocEncoderConfig.sigma_min) -> Model:
     rs_cfg = EncoderConfig(channels=data_cfg["rs_channels"], image_size=data_cfg["rs_size"], dim=dim)
     sv_cfg = EncoderConfig(channels=1, image_size=data_cfg["sv_size"], dim=dim)
     loc_cfg = LocEncoderConfig(sigma=rff_sigma, sigma_min=rff_sigma_min, dim=dim)
@@ -197,9 +198,9 @@ def cmd_pretrain(args, file_cfg) -> int:
         cfg = state["config"]
     else:
         try:
-            dim = _integer(_merged(args, file_cfg, "dim", 64), "dim")
-            sigma = float(_merged(args, file_cfg, "rff_sigma", 1000.0))
-            sigma_min = float(_merged(args, file_cfg, "rff_sigma_min", 0.0))
+            dim = _integer(_merged(args, file_cfg, "dim", EncoderConfig.dim), "dim")
+            sigma = float(_merged(args, file_cfg, "rff_sigma", LocEncoderConfig.sigma))
+            sigma_min = float(_merged(args, file_cfg, "rff_sigma_min", LocEncoderConfig.sigma_min))
             model = build_model(manifest["config"], seed=cfg.seed, dim=dim, rff_sigma=sigma, rff_sigma_min=sigma_min)
         except (TypeError, ValueError, OverflowError) as exc:
             return _usage_error(f"bad model config: {exc}")
@@ -280,8 +281,7 @@ def cmd_heatmap(args, file_cfg) -> int:
     sv_emb = model.sv.encode_pooled(batch.sv).values[0]
     res_rad = args.resolution * _DEG
     if args.mode == "loc":
-        center = GeoPoint((r.footprint.lon_min + r.footprint.lon_max) / 2, (r.footprint.lat_min + r.footprint.lat_max) / 2)
-        grid = heatmap_loc(sv_emb, model.loc, center, res_rad, args.cells, args.cells)
+        grid = heatmap_loc(sv_emb, model.loc, GeoPoint(*footprint_center(*r.footprint.bounds)), res_rad, args.cells, args.cells)
     else:
         fm = model.rs.encode_feature_maps(batch.rs)
         grid = heatmap_inr(sv_emb, model.ftheta, unfold3x3(fm), r.footprint, res_rad)

@@ -18,6 +18,10 @@ slice of the table; numpy releases the GIL in the normal draws and in
 `sin`, where most of the time goes. `gen_triple` runs the same block code
 on a one-row table. `_records` turns a generated or loaded table into
 `TripleRecord`s whose `rs` and `sv` are views of its rows.
+
+On disk, data.blob is `BLOB_MAGIC` followed by the table's packed
+little-endian rows, and manifest.json holds only `version`, `count`, `rng`
+and `config`; `read_dataset` accepts only the `philox4x64` rng.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import FormatError, _replacing, require_keys
-from .geo import GeoFootprint, GeoPoint, OutOfFootprintError
+from .geo import GeoFootprint, GeoPoint, OutOfFootprintError, inside, local_lonlat, local_uv
 
 __all__ = [
     "DataConfig",
@@ -271,8 +275,7 @@ def _fill_block(world: WorldModel, rendering: tuple, start: int, rows: np.ndarra
     rows["rs"] = variants
 
     # Street-view location: uniform inside the footprint's INR-valid hull.
-    lon = lon_min + (uv[:, 0] + 1) / 2 * dlon
-    lat = lat_min + (uv[:, 1] + 1) / 2 * dlat
+    lon, lat = local_lonlat(uv[:, 0], uv[:, 1], lon_min, lon_max, lat_min, lat_max)
     f_loc = _field_grid(world, lon, lat)
     bases, stds = rendering
     gradients = [field_gradient(world, GeoPoint(*p)) for p in zip(lon.tolist(), lat.tolist())]
@@ -291,6 +294,9 @@ def _records(table: np.ndarray) -> list:
     in data.blob."""
     columns = zip(table["rs"], table["sv"], table["lon"].tolist(), table["lat"].tolist(),
                   table["label_class"].tolist(), table["label_reg"].tolist(), table["footprint"].tolist())
+    # The generator places every location inside its footprint; `inside` is
+    # False for NaN, so a NaN location is rejected too.
+    located = inside(table["lon"], table["lat"], *table["footprint"].T)
     records = []
     for i, (rs, sv, lon, lat, label_class, label_reg, bounds) in enumerate(columns):
         offset = len(BLOB_MAGIC) + i * table.itemsize
@@ -298,9 +304,7 @@ def _records(table: np.ndarray) -> list:
             footprint = GeoFootprint(*bounds)
         except ValueError as exc:
             raise FormatError(f"record {i}: {exc}", offset=offset) from None
-        # The generator places every location inside its footprint; the
-        # comparisons are False for NaN, so a NaN location is rejected too.
-        if not (footprint.lon_min <= lon <= footprint.lon_max and footprint.lat_min <= lat <= footprint.lat_max):
+        if not located[i]:
             raise FormatError(f"record {i}: location ({lon}, {lat}) lies outside its footprint", offset=offset)
         records.append(TripleRecord(rs, sv, lon, lat, label_class, label_reg, footprint))
     return records
@@ -344,8 +348,7 @@ def write_dataset(records: list, out_dir, config: DataConfig) -> str:
     with _replacing(os.path.join(out_dir, "data.blob")) as tmp, open(tmp, "wb") as fh:
         fh.write(BLOB_MAGIC)
         for r in records:
-            fp = r.footprint
-            row[()] = (r.rs, r.sv, r.lon, r.lat, r.label_class, r.label_reg, (fp.lon_min, fp.lon_max, fp.lat_min, fp.lat_max))
+            row[()] = (r.rs, r.sv, r.lon, r.lat, r.label_class, r.label_reg, r.footprint.bounds)
             fh.write(row)
     manifest = {"version": MANIFEST_VERSION, "count": len(records), "rng": RNG_ALGORITHM, "config": asdict(config)}
     with _replacing(manifest_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
@@ -417,15 +420,12 @@ def make_batch(records: list, indices, rng: np.random.Generator, augment: bool =
         picked.append(r)
     lonlat = np.array([(r.lon, r.lat) for r in picked])
     lon, lat = lonlat.T
-    lon_min, lon_max, lat_min, lat_max = np.array(
-        [(r.footprint.lon_min, r.footprint.lon_max, r.footprint.lat_min, r.footprint.lat_max) for r in picked]).T
-    outside = ~((lon_min <= lon) & (lon <= lon_max) & (lat_min <= lat) & (lat <= lat_max))
+    footprints = np.array([r.footprint.bounds for r in picked])
+    outside = ~inside(lon, lat, *footprints.T)
     if outside.any():
         k = int(outside.argmax())
         raise OutOfFootprintError(f"point (lon={lon[k]}, lat={lat[k]}) outside footprint {picked[k].footprint}")
-    # to_local's affine map, element by element.
-    u = 2.0 * (lon - lon_min) / (lon_max - lon_min) - 1.0
-    v = 2.0 * (lat - lat_min) / (lat_max - lat_min) - 1.0
+    u, v = local_uv(lon, lat, *footprints.T)
     # Horizontal flip applies to the overhead image only (columns plus a
     # negated query u), which reads the same field values. The ground
     # pattern is a fixed signed rendering: mirroring it would change the

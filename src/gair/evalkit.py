@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import _STREAM_PROBE, _stream
-from .geo import GeoFootprint, GeoPoint
+from .geo import GeoFootprint, GeoPoint, footprint_center, interpolation_hull, local_uv
 from .inr import inr_query_batch
 from .tensor import Tensor, backward, cross_entropy, enable_grad, matmul
 from .training import AdamW, TrainConfig
@@ -180,19 +180,13 @@ def heatmap_inr(sv_emb: np.ndarray, ftheta, unfolded, footprint: GeoFootprint, r
     on a mesh over the footprint's interpolation hull."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    P = unfolded.shape[1]
-    hull = 1.0 - 1.0 / P
-    lon_span = footprint.lon_max - footprint.lon_min
-    lat_span = footprint.lat_max - footprint.lat_min
-    lon_c = (footprint.lon_min + footprint.lon_max) / 2
-    lat_c = (footprint.lat_min + footprint.lat_max) / 2
-    cols = max(1, int(hull * lon_span / resolution)) + 1
-    rows = max(1, int(hull * lat_span / resolution)) + 1
+    hull = interpolation_hull(unfolded.shape[1])
+    lon_c, lat_c = footprint_center(*footprint.bounds)
+    cols = max(1, int(hull * (footprint.lon_max - footprint.lon_min) / resolution)) + 1
+    rows = max(1, int(hull * (footprint.lat_max - footprint.lat_min) / resolution)) + 1
     lons = lon_c + (np.arange(cols) - (cols - 1) / 2) * resolution
     lats = lat_c - (np.arange(rows) - (rows - 1) / 2) * resolution
-    us = 2 * (lons - footprint.lon_min) / lon_span - 1
-    vs = 2 * (lats - footprint.lat_min) / lat_span - 1
-    u_g, v_g = np.meshgrid(us, vs)
+    u_g, v_g = np.meshgrid(*local_uv(lons, lats, *footprint.bounds))
     queries = np.stack([u_g.reshape(-1), v_g.reshape(-1)], axis=1)
     n = len(queries)
     # A zero-copy view: every query reads the same map.

@@ -3,6 +3,13 @@
 Footprints are axis-aligned lon/lat rectangles (north-up imagery); the
 patch grid of a feature map is geo-referenced through normalized local
 coordinates in [-1, 1]^2, with u increasing eastward and v northward.
+
+This module owns the footprint geometry every other module uses: the
+containment test (`inside`), the map into local coordinates (`local_uv`)
+and back (`local_lonlat`), the footprint centre, the patch-cell centres and
+the patch-centre hull that interpolation clamps to. Each is one expression
+over floats or numpy arrays, so a scalar and a batched caller compute the
+same bits; `to_local` and `GeoFootprint.contains` are their scalar forms.
 """
 
 from __future__ import annotations
@@ -18,8 +25,12 @@ __all__ = [
     "LocalCoord",
     "OutOfFootprintError",
     "to_local",
-    "from_local",
-    "patch_center",
+    "inside",
+    "local_uv",
+    "local_lonlat",
+    "footprint_center",
+    "cell_centers",
+    "interpolation_hull",
     "equal_earth",
     "equal_earth_rescaled",
     "EQUAL_EARTH_X_MAX",
@@ -78,8 +89,13 @@ class GeoFootprint:
         if self.lat_min < -math.pi / 2 or self.lat_max > math.pi / 2:
             raise ValueError("footprint extends past a pole")
 
+    @property
+    def bounds(self) -> tuple:
+        """(lon_min, lon_max, lat_min, lat_max), the order records store."""
+        return self.lon_min, self.lon_max, self.lat_min, self.lat_max
+
     def contains(self, p: GeoPoint) -> bool:
-        return self.lon_min <= p.lon <= self.lon_max and self.lat_min <= p.lat <= self.lat_max
+        return bool(inside(p.lon, p.lat, *self.bounds))
 
 
 @dataclass(frozen=True)
@@ -98,25 +114,46 @@ def to_local(fp: GeoFootprint, p: GeoPoint) -> LocalCoord:
     """Affine map of an in-footprint point into [-1, 1]^2 (boundary inclusive)."""
     if not fp.contains(p):
         raise OutOfFootprintError(f"point (lon={p.lon}, lat={p.lat}) outside footprint {fp}")
-    u = 2.0 * (p.lon - fp.lon_min) / (fp.lon_max - fp.lon_min) - 1.0
-    v = 2.0 * (p.lat - fp.lat_min) / (fp.lat_max - fp.lat_min) - 1.0
-    return LocalCoord(u, v)
+    return LocalCoord(*local_uv(p.lon, p.lat, *fp.bounds))
 
 
-def from_local(fp: GeoFootprint, c: LocalCoord) -> GeoPoint:
-    """Inverse of to_local."""
-    lon = fp.lon_min + (c.u + 1.0) / 2.0 * (fp.lon_max - fp.lon_min)
-    lat = fp.lat_min + (c.v + 1.0) / 2.0 * (fp.lat_max - fp.lat_min)
-    return GeoPoint(lon, lat)
+# The footprint facts below take a footprint as its four bounds in record
+# order, `*fp.bounds` for one GeoFootprint or `*table.T` for an (n, 4) array
+# of them; points and bounds are floats or arrays and broadcast elementwise.
 
 
-def patch_center(P: int, a: int, b: int) -> LocalCoord:
-    """Center of grid cell (a, b) in local coordinates; row 0 is northernmost."""
-    if not (0 <= a < P and 0 <= b < P):
-        raise IndexError(f"patch index ({a}, {b}) out of range for grid size {P}")
-    u = -1.0 + (2 * b + 1) / P
-    v = 1.0 - (2 * a + 1) / P
-    return LocalCoord(u, v)
+def inside(lon, lat, lon_min, lon_max, lat_min, lat_max):
+    """Whether (lon, lat) lies in the footprint, boundary included; False for NaN."""
+    return (lon_min <= lon) & (lon <= lon_max) & (lat_min <= lat) & (lat <= lat_max)
+
+
+def local_uv(lon, lat, lon_min, lon_max, lat_min, lat_max) -> tuple:
+    """(u, v): the affine map of the footprint onto [-1, 1]^2. Unchecked;
+    a point outside the footprint maps outside the square."""
+    return 2.0 * (lon - lon_min) / (lon_max - lon_min) - 1.0, 2.0 * (lat - lat_min) / (lat_max - lat_min) - 1.0
+
+
+def local_lonlat(u, v, lon_min, lon_max, lat_min, lat_max) -> tuple:
+    """(lon, lat) of local coordinates (u, v): the inverse of `local_uv`."""
+    return lon_min + (u + 1.0) / 2.0 * (lon_max - lon_min), lat_min + (v + 1.0) / 2.0 * (lat_max - lat_min)
+
+
+def footprint_center(lon_min, lon_max, lat_min, lat_max) -> tuple:
+    """(lon, lat) of the footprint's centre."""
+    return (lon_min + lon_max) / 2, (lat_min + lat_max) / 2
+
+
+def cell_centers(P: int, rows, cols) -> tuple:
+    """Local (u, v) of the centres of cells (rows, cols) of a P x P patch
+    grid; row 0 is northernmost, column 0 westernmost. Indices are not
+    checked."""
+    return -1.0 + (2 * cols + 1) / P, 1.0 - (2 * rows + 1) / P
+
+
+def interpolation_hull(P: int) -> float:
+    """Half-width of the hull of a P x P grid's patch centres in local
+    coordinates: the outermost centres sit at +-(1 - 1/P)."""
+    return 1.0 - 1.0 / P
 
 
 def _equal_earth_xy(lon, lat):

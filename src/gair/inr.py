@@ -17,7 +17,8 @@ backward scatters into those cells alone. `unfold3x3` + `inr_query_batch`
 compute the same values through the whole unfolded map; they are
 forward-only, kept for sharing one unfolded map across many queries
 (`heatmap_inr`) and as the reference, and `f_theta` stays as the
-reference decoder.
+reference decoder. Both lookups blend and decode in `_blend_decode`, and
+take the patch-cell centres and the hull from `gair.geo`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import OutOfFootprintError
+from .geo import OutOfFootprintError, cell_centers, interpolation_hull
 from .tensor import Tensor, concat, l2_normalize_rows, matmul
 
 __all__ = [
@@ -120,31 +121,27 @@ def ensemble_weights(queries: np.ndarray, P: int) -> EnsembleGeometry:
         bad = q[~np.all(np.abs(q) <= 1.0 + 1e-12, axis=1)][0]
         raise OutOfFootprintError(f"query (u={bad[0]}, v={bad[1]}) outside footprint")
 
-    hull = 1.0 - 1.0 / P
+    hull = interpolation_hull(P)
     clamped = np.any(np.abs(q) > hull, axis=1)
     qc = np.clip(q, -hull, hull)
 
     cell = 2.0 / P
     # Column pair west of / east of the query; cols increase eastward.
     b0 = np.clip(np.floor((qc[:, 0] + 1.0) * P / 2.0 - 0.5).astype(int), 0, P - 2)
-    u0 = -1.0 + (2 * b0 + 1) / P
-    tu = (qc[:, 0] - u0) / cell  # 0 at west corner, 1 at east
     # Row pair north of / south of the query; rows increase southward.
     a0 = np.clip(np.floor((1.0 - qc[:, 1]) * P / 2.0 - 0.5).astype(int), 0, P - 2)
-    v0 = 1.0 - (2 * a0 + 1) / P
-    tv = (v0 - qc[:, 1]) / cell  # 0 at north corner, 1 at south
-
     # Corner order: (N,W), (N,E), (S,W), (S,E).
     rows = np.stack([a0, a0, a0 + 1, a0 + 1], axis=1)
     cols = np.stack([b0, b0 + 1, b0, b0 + 1], axis=1)
+    corner_u, corner_v = cell_centers(P, rows, cols)
+    tu = (qc[:, 0] - corner_u[:, 0]) / cell  # 0 at west corner, 1 at east
+    tv = (corner_v[:, 0] - qc[:, 1]) / cell  # 0 at north corner, 1 at south
+
     w_nw = (1 - tu) * (1 - tv)
     w_ne = tu * (1 - tv)
     w_sw = (1 - tu) * tv
     w_se = tu * tv
     weights = np.stack([w_nw, w_ne, w_sw, w_se], axis=1)
-
-    corner_u = -1.0 + (2 * cols + 1) / P
-    corner_v = 1.0 - (2 * rows + 1) / P
     deltas = np.stack([(qc[:, 0:1] - corner_u) / cell, (qc[:, 1:2] - corner_v) / cell], axis=2)
     return EnsembleGeometry(rows=rows, cols=cols, weights=weights, deltas=deltas, clamped=clamped)
 
@@ -155,6 +152,14 @@ def f_theta(params: FThetaParams, z_k: Tensor, delta: Tensor) -> Tensor:
     return matmul(joined, params.weight) + params.bias
 
 
+def _blend_decode(params: FThetaParams, corners: np.ndarray, weights: np.ndarray) -> tuple:
+    """The ensemble's closed form (see the module docstring): each query's
+    four corner neighborhoods (N, 4, 9D) blended by their area weights
+    (N, 4), then decoded once. Returns (blend, decoded)."""
+    blend = (corners * weights[:, :, None].astype(corners.dtype)).sum(axis=1)  # (N, 9D)
+    return blend, blend @ params.weight.values[: corners.shape[-1]] + params.bias.values
+
+
 def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray, normalize: bool = True) -> Tensor:
     """Localized embeddings for one query per sample, from an unfolded map.
 
@@ -162,13 +167,9 @@ def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray,
     (N, D), L2-normalized unless normalize=False. Forward-only: it equals
     `inr_lookup` on the map `unfolded` was unfolded from.
     """
-    n, P, nine_d = unfolded.shape[0], unfolded.shape[1], unfolded.shape[-1]
-    geom = ensemble_weights(queries, P)
-    cells = (np.arange(n)[:, None], geom.rows, geom.cols)
-    w = geom.weights[:, :, None].astype(unfolded.dtype)
-    blended = (unfolded.values[cells] * w).sum(axis=1)  # (N, 9D)
-    w_z = params.weight.values[:nine_d]
-    out_vals = blended @ w_z + params.bias.values
+    geom = ensemble_weights(queries, unfolded.shape[1])
+    corners = unfolded.values[np.arange(unfolded.shape[0])[:, None], geom.rows, geom.cols]  # (N, 4, 9D)
+    _, out_vals = _blend_decode(params, corners, geom.weights)
     out = Tensor._make(out_vals, (unfolded, params.weight, params.bias), None)
     return l2_normalize_rows(out) if normalize else out
 
@@ -188,11 +189,8 @@ def inr_lookup(params: FThetaParams, fm: Tensor, queries: np.ndarray, normalize:
     geom = ensemble_weights(queries, P)
     padded = np.pad(fm.values, [(0, 0), (1, 1), (1, 1), (0, 0)])
     cells = [(np.arange(n)[:, None], geom.rows + 1 + di, geom.cols + 1 + dj) for di, dj in _NEIGHBOR_OFFSETS]
-    corners = np.concatenate([padded[c] for c in cells], axis=-1)  # (N, 4, 9D)
-    w = geom.weights[:, :, None].astype(fm.dtype)
-    blended = (corners * w).sum(axis=1)  # (N, 9D)
+    blended, out_vals = _blend_decode(params, np.concatenate([padded[c] for c in cells], axis=-1), geom.weights)
     w_z = params.weight.values[: 9 * d]
-    out_vals = blended @ w_z + params.bias.values
 
     def bwd(g):
         params.bias._accumulate(g.sum(axis=0))
@@ -200,7 +198,7 @@ def inr_lookup(params: FThetaParams, fm: Tensor, queries: np.ndarray, normalize:
         d_weight[: 9 * d] = blended.T @ g
         params.weight._accumulate(d_weight)
         # Within one offset a sample's four corners are distinct cells: += is exact.
-        h = (g @ w_z.T)[:, None, :] * w
+        h = (g @ w_z.T)[:, None, :] * geom.weights[:, :, None].astype(fm.dtype)
         full = np.zeros((n, P + 2, P + 2, d), dtype=fm.dtype)
         for o, c in enumerate(cells):
             full[c] += h[..., o * d : (o + 1) * d]

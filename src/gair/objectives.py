@@ -51,9 +51,7 @@ class MemoryBank:
         n = batch.shape[0]
         if n > self.capacity:
             raise ValueError(f"batch of {n} exceeds bank capacity {self.capacity}")
-        norms = np.linalg.norm(batch, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-3):
-            raise ContractError("bank entries must be unit-norm")
+        _check_unit_rows(batch, "bank")
         if n:
             dropped = max(0, len(self) + n - self.capacity)
             self._rows = np.concatenate([self._rows[dropped:], batch]) if len(self) else batch.copy()
@@ -66,21 +64,25 @@ class MemoryBank:
 
     def load_state(self, entries: np.ndarray):
         """Replace the contents with `entries` (oldest-first); only the
-        newest `capacity` rows are kept."""
+        newest `capacity` rows are kept. Raises ContractError, as `push`
+        does, unless every row is unit-norm."""
         rows = np.atleast_2d(np.asarray(entries, dtype=np.float64))
+        _check_unit_rows(rows, "bank")
         self._rows = rows[-self.capacity :].copy() if rows.size else np.zeros((0, 0))
 
 
-def _check_unit_rows(x: Tensor, what: str):
-    norms = np.linalg.norm(x.values, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-3):
-        raise ContractError(f"{what} rows are not unit-norm (max deviation {np.max(np.abs(norms - 1.0)):.2e})")
+def _check_unit_rows(rows: np.ndarray, what: str):
+    """Raise ContractError unless every row's L2 norm is within 1e-3 of 1;
+    a row holding NaN or inf fails."""
+    deviation = np.abs(np.linalg.norm(rows, axis=-1) - 1.0)
+    if not np.all(deviation <= 1e-3):
+        raise ContractError(f"{what} rows are not unit-norm (max deviation {np.max(deviation):.2e})")
 
 
 def sim_matrix(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarities of unit-norm rows: (n, D) x (m, D) -> (n, m)."""
-    _check_unit_rows(a, "sim_matrix lhs")
-    _check_unit_rows(b, "sim_matrix rhs")
+    _check_unit_rows(a.values, "sim_matrix lhs")
+    _check_unit_rows(b.values, "sim_matrix rhs")
     return matmul(a, b.transpose())
 
 
@@ -98,18 +100,21 @@ def secl_loss(e_x: Tensor, z_q: Tensor, g_s: Tensor, bank: MemoryBank, tau: floa
 
     For each anchor (z or g), the positive is its colocated current-batch
     location embedding; the denominator additionally ranges over stored
-    past location embeddings, which receive no gradient.
+    past location embeddings, which receive no gradient. The stored rows
+    were checked unit-norm when they entered the bank.
     """
     n = e_x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    _check_unit_rows(e_x, "location embeddings")
+    for x, what in ((e_x, "location embeddings"), (z_q, "localized RS embeddings"), (g_s, "SV embeddings")):
+        _check_unit_rows(x.values, what)
     stored = bank.snapshot()
     candidates = e_x
     if stored.size:
         candidates = concat([e_x, Tensor(stored.astype(e_x.dtype))], axis=0)
-    logits_rs = sim_matrix(z_q, candidates).scale(1.0 / tau)
-    logits_sv = sim_matrix(g_s, candidates).scale(1.0 / tau)
+    candidates_t = candidates.transpose()
+    logits_rs = matmul(z_q, candidates_t).scale(1.0 / tau)
+    logits_sv = matmul(g_s, candidates_t).scale(1.0 / tau)
     matched = np.arange(n)
     return (cross_entropy(logits_rs, matched) + cross_entropy(logits_sv, matched)).scale(0.5)
 

@@ -19,7 +19,7 @@ from .encoders import EncoderConfig, ImageEncoder, LocEncoderConfig, LocationEnc
 from .errors import FormatError, _replacing, require_keys
 from .inr import FThetaParams, inr_lookup
 from .objectives import LossConfig, MemoryBank, combined_loss, incl_loss, secl_loss
-from .tensor import Tensor, backward, enable_grad
+from .tensor import ContractError, Tensor, backward, enable_grad
 
 __all__ = ["TrainConfig", "AdamW", "Model", "lr_at", "train_step", "train", "save_checkpoint", "load_checkpoint"]
 
@@ -173,19 +173,20 @@ class Model:
         )
 
 
-def _grad_norm(tensors) -> float:
-    """Global L2 norm of the gradients present, accumulated in float64."""
-    return math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in tensors if p.grad is not None))
+def _squared_grad_sums(params: dict) -> dict:
+    """Each present gradient's sum of squares, accumulated in float64; a
+    norm is the square root of the sum of these, added in `params` order."""
+    return {name: float(np.sum(p.grad.astype(np.float64) ** 2)) for name, p in params.items() if p.grad is not None}
 
 
-def _clip_gradients(params: dict, max_norm: float) -> float:
-    norm = _grad_norm(params.values())
+def _clip_gradients(params: dict, norm: float, max_norm: float):
+    """Scale every gradient by max_norm / norm when their global norm `norm`
+    exceeds max_norm > 0."""
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * scale
-    return norm
 
 
 def train_step(model: Model, batch: TripleBatch, bank: MemoryBank, optimizer: AdamW, config: TrainConfig, lr: float) -> dict:
@@ -201,8 +202,10 @@ def train_step(model: Model, batch: TripleBatch, bank: MemoryBank, optimizer: Ad
         secl = secl_loss(e_x, z_q, g_s, bank, config.loss.tau)
         total = combined_loss(incl, secl, config.loss.lambda_secl)
     backward(total)
-    grad_norm = _clip_gradients(optimizer.params, config.grad_clip)
-    loc_norm = _grad_norm(model.loc.params.values())
+    squares = _squared_grad_sums(optimizer.params)
+    grad_norm = math.sqrt(sum(squares.values()))
+    loc_norm = math.sqrt(sum(squares[name] for name in model.loc.params if name in squares))
+    _clip_gradients(optimizer.params, grad_norm, config.grad_clip)
     optimizer.step(lr)
     bank.push(e_x.values.astype(np.float64))
     return {
@@ -378,5 +381,8 @@ def load_checkpoint(path) -> dict:
     model.loc.B = arrays["rff_B"].astype(np.float64)
     optimizer.load_state({"t": header["adam_t"], "m": {n: arrays[f"adam_m/{n}"] for n in params},
                           "v": {n: arrays[f"adam_v/{n}"] for n in params}})
-    bank.load_state(arrays["bank"])
+    try:
+        bank.load_state(arrays["bank"])
+    except ContractError as exc:
+        raise FormatError(f"checkpoint bank: {exc}") from None
     return {"model": model, "optimizer": optimizer, "bank": bank, "config": config, "step": header["step"], "header": header}

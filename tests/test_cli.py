@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -136,6 +137,21 @@ class TestPretrain:
         assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"),
                      "--resume", str(tmp_path / "nope.bin")]) == 3
         assert "unreadable checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", [3.0, math.nan], ids=["scaled", "nan"])
+    def test_resume_from_a_non_unit_bank_is_data_error(self, workspace, tmp_path, capsys, factor):
+        raw = bytearray(open(workspace["ckpt"], "rb").read())
+        _, header_len = struct.unpack_from("<IQ", raw, 8)
+        (entry,) = [e for e in json.loads(raw[20 : 20 + header_len])["arrays"] if e["name"] == "bank"]
+        start, dtype = 20 + header_len + entry["offset"], np.dtype("<" + entry["dtype"])
+        end = start + math.prod(entry["shape"]) * dtype.itemsize
+        assert entry["shape"][0] > 0
+        raw[start:end] = (np.frombuffer(bytes(raw[start:end]), dtype) * factor).astype(dtype).tobytes()
+        bad = tmp_path / "bad_bank.bin"
+        bad.write_bytes(bytes(raw))
+        rc = main(["pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"), "--resume", str(bad)])
+        assert rc == 3
+        assert "bank" in capsys.readouterr().err
 
     def test_manifest_without_schema_keys_is_data_error(self, tmp_path):
         ds = tmp_path / "ds"

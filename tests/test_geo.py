@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gair.geo import (
     EQUAL_EARTH_X_MAX,
@@ -12,8 +14,12 @@ from gair.geo import (
     equal_earth,
     equal_earth_rescaled,
     equal_earth_rescaled_batch,
-    from_local,
-    patch_center,
+    cell_centers,
+    footprint_center,
+    inside,
+    interpolation_hull,
+    local_lonlat,
+    local_uv,
     to_local,
 )
 
@@ -79,37 +85,73 @@ class TestToLocal:
     def test_roundtrip_random_points(self):
         rng = np.random.default_rng(0)
         fp = GeoFootprint(0.1, 0.35, -0.2, 0.05)
-        for _ in range(10_000):
-            p = GeoPoint(rng.uniform(0.1, 0.35), rng.uniform(-0.2, 0.05))
-            q = from_local(fp, to_local(fp, p))
-            assert abs(q.lon - p.lon) < 1e-12 and abs(q.lat - p.lat) < 1e-12
+        lon, lat = rng.uniform(0.1, 0.35, 10_000), rng.uniform(-0.2, 0.05, 10_000)
+        assert inside(lon, lat, *fp.bounds).all()
+        back_lon, back_lat = local_lonlat(*local_uv(lon, lat, *fp.bounds), *fp.bounds)
+        assert np.max(np.abs(back_lon - lon)) < 1e-12 and np.max(np.abs(back_lat - lat)) < 1e-12
+
+    def test_center_maps_to_origin(self):
+        fp = GeoFootprint(0.1, 0.35, -0.2, 0.05)
+        assert footprint_center(*fp.bounds) == pytest.approx((0.225, -0.075), abs=1e-15)
+        u, v = local_uv(*footprint_center(*fp.bounds), *fp.bounds)
+        assert abs(u) < 1e-15 and abs(v) < 1e-15
+
+
+@st.composite
+def footprints_and_points(draw):
+    """A footprint clear of the antimeridian and the poles, and points from
+    half a footprint outside it to half a footprint beyond it, so that
+    GeoPoint keeps every coordinate as drawn."""
+    lon_min, lat_min = draw(st.floats(-3.0, 2.9)), draw(st.floats(-1.5, 1.4))
+    width, height = draw(st.floats(1e-6, 0.1)), draw(st.floats(1e-6, 0.1))
+    fp = GeoFootprint(lon_min, lon_min + width, lat_min, lat_min + height)
+    fractions = np.array(draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), min_size=1, max_size=16)))
+    lon = np.clip(lon_min + fractions[:, 0] * width, -3.1, 3.1)
+    lat = lat_min + fractions[:, 1] * height
+    return fp, lon, lat
+
+
+class TestArrayForms:
+    """The array forms are the only implementation: the scalar wrappers and
+    an (n, 4) bounds table must give the same bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(footprints_and_points())
+    def test_array_maps_equal_scalar_to_local_and_round_trip(self, case):
+        fp, lon, lat = case
+        table = np.tile(fp.bounds, (len(lon), 1))  # a record table's footprint column
+        located = inside(lon, lat, *table.T)
+        assert np.array_equal(located, [fp.contains(GeoPoint(lo, la)) for lo, la in zip(lon, lat)])
+        assert np.array_equal(located, inside(lon, lat, *fp.bounds))
+        u, v = local_uv(lon, lat, *table.T)
+        for k in np.flatnonzero(located):
+            c = to_local(fp, GeoPoint(float(lon[k]), float(lat[k])))
+            assert (u[k], v[k]) == (c.u, c.v)
+        assert np.array_equal(np.stack(local_uv(lon, lat, *fp.bounds)), np.stack([u, v]))
+        back_lon, back_lat = local_lonlat(u, v, *table.T)
+        assert np.max(np.abs(back_lon - lon)) <= 1e-12 and np.max(np.abs(back_lat - lat)) <= 1e-12
 
 
 class TestPatchCenter:
     def test_quadrant_center(self):
-        c = patch_center(2, 0, 0)
-        assert (c.u, c.v) == (-0.5, 0.5)
+        assert cell_centers(2, 0, 0) == (-0.5, 0.5)
 
     def test_single_cell(self):
-        c = patch_center(1, 0, 0)
-        assert (c.u, c.v) == (0.0, 0.0)
+        assert cell_centers(1, 0, 0) == (0.0, 0.0)
 
     def test_direct_formula(self):
-        c = patch_center(4, 3, 1)
-        assert abs(c.u + 0.25) < 1e-15 and abs(c.v + 0.75) < 1e-15
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            patch_center(4, 4, 0)
+        u, v = cell_centers(4, 3, 1)
+        assert abs(u + 0.25) < 1e-15 and abs(v + 0.75) < 1e-15
 
     @pytest.mark.parametrize("P", [2, 4, 8])
     def test_centers_equispaced_and_interior(self, P):
-        us = [patch_center(P, 0, b).u for b in range(P)]
-        vs = [patch_center(P, a, 0).v for a in range(P)]
+        us, _ = cell_centers(P, 0, np.arange(P))
+        _, vs = cell_centers(P, np.arange(P), 0)
         for seq in (us, vs[::-1]):
-            assert all(-1 < x < 1 for x in seq)
-            diffs = np.diff(seq)
-            assert np.allclose(diffs, 2.0 / P, atol=1e-15)
+            assert np.all((-1 < seq) & (seq < 1))
+            assert np.allclose(np.diff(seq), 2.0 / P, atol=1e-15)
+        # The outermost centres bound the interpolation hull.
+        assert us[-1] == vs[0] == -us[0] == interpolation_hull(P)
 
 
 class TestEqualEarth:

@@ -64,6 +64,20 @@ class TestMemoryBank:
         with pytest.raises(ContractError):
             bank.push(np.array([[1.0, 1.0]]))
 
+    def test_nan_and_non_unit_rows_rejected_by_push_and_load_state(self):
+        """A NaN row's norm deviation compares False with any bound, so the
+        check must fail it; a loaded bank is checked as a pushed one is."""
+        nan_rows = np.array([[math.nan, 0.0], [1.0, 0.0]])
+        bank = MemoryBank(capacity=4)
+        for rows in (nan_rows, 3.0 * unit_rows(np.random.default_rng(6), 2, 2)):
+            with pytest.raises(ContractError):
+                bank.push(rows)
+            with pytest.raises(ContractError):
+                bank.load_state(rows)
+        assert len(bank) == 0
+        with pytest.raises(ContractError):
+            sim_matrix(Tensor(nan_rows), Tensor(nan_rows))
+
     def test_snapshot_is_read_only_and_kept_by_later_pushes(self):
         rng = np.random.default_rng(2)
         bank = MemoryBank(capacity=4)

@@ -21,6 +21,7 @@ from gair.training import (
     Model,
     TrainConfig,
     _clip_gradients,
+    _squared_grad_sums,
     load_checkpoint,
     lr_at,
     save_checkpoint,
@@ -256,6 +257,13 @@ class TestTrainStep:
         total = math.sqrt(sum(float(np.sum(p.grad.astype(np.float64) ** 2))
                               for p in opt.params.values() if p.grad is not None))
         assert total <= 1e-6 * (1 + 1e-5)
+        # Both norms are measured before clipping: the same step unclipped
+        # reports the same location-encoder norm, far above the clip bound.
+        twin, unclipped_cfg = tiny_model(), tiny_train_config(grad_clip=0.0)
+        unclipped = train_step(twin, batch, MemoryBank(cfg.loss.bank_capacity), AdamW(twin.parameters(), unclipped_cfg),
+                               unclipped_cfg, lr=1e-3)
+        assert m["grad_norm"] == unclipped["grad_norm"]
+        assert m["grad_norm_loc"] == unclipped["grad_norm_loc"] > 1e-3
 
     @staticmethod
     def recorded_step(model, monkeypatch):
@@ -368,8 +376,9 @@ class TestTrainStep:
         with enable_grad():
             backward(((a + b) * Tensor(c)).sum())
         assert np.shares_memory(a.grad, b.grad)  # both parents hold the one gradient array
-        norm = _clip_gradients({"a": a, "b": b}, max_norm=1.0)
+        norm = math.sqrt(sum(_squared_grad_sums({"a": a, "b": b}).values()))
         assert norm == pytest.approx(math.sqrt(2 * 25.0))
+        _clip_gradients({"a": a, "b": b}, norm, max_norm=1.0)
         expected = c / math.sqrt(2 * 25.0)
         assert np.allclose(a.grad, expected) and np.allclose(b.grad, expected)
 
