@@ -32,22 +32,22 @@ print("weights:", np.round(geom.weights[0], 4), "sum =", geom.weights[0].sum())
 
 # Step 3: blend and decode. The decoder is affine, so decoding each corner
 # and blending the four outputs equals blending the four latents and decoding
-# once; the offset terms cancel because the weights average the corner
-# offsets to zero. inr_query_batch computes that closed form from the
-# unfolded map, forward only; it pays off when many queries share one map,
-# as a heatmap's do. Training calls inr_lookup instead: it gathers the 3x3
-# neighborhoods of just the four corner cells straight from the grid, is
-# differentiable, and gives the same values bit for bit. With the
-# passthrough decoder the whole pipeline collapses to plain bilinear
-# interpolation, which we can check directly.
+# once. It reads no query-to-corner offset: the weights average the corner
+# offsets to zero, so an affine offset term would cancel. inr_query_batch
+# computes that closed form from the unfolded map, forward only; it pays
+# off when many queries share one map, as a heatmap's do. Training calls
+# inr_lookup instead: it gathers the 3x3 neighborhoods of just the four
+# corner cells straight from the grid, is differentiable, and gives the
+# same values bit for bit. With the passthrough decoder the whole pipeline
+# collapses to plain bilinear interpolation, which we can check directly.
 z = inr_query_batch(FThetaParams.passthrough(D), unfolded, q, normalize=False)
 ref = bilinear_oracle(grid, q)
 print("max |inr - bilinear oracle| =", np.max(np.abs(z.values - ref)))
 z_direct = inr_lookup(FThetaParams.passthrough(D), Tensor(grid[None]), q, normalize=False)
 print("inr_lookup equals the unfolded-map lookup:", np.array_equal(z_direct.values, z.values))
 
-# A trained decoder is an affine map over the neighborhood plus the query
-# offset, so the output stays continuous across cell boundaries:
+# A trained decoder is an affine map over the blended neighborhood, so the
+# output stays continuous across cell boundaries:
 params = FThetaParams.init(D, rng, dtype=np.float64)
 eps = 1e-6
 for boundary in (-0.5, 0.0, 0.5):

@@ -76,6 +76,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """A float field's value from a flag or the config file. A bool is
+    rejected, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gair", description=__doc__)
     parser.add_argument("--config", help="JSON config file; flags override its values")
@@ -132,7 +140,7 @@ def _dataset_config(args, file_cfg) -> DataConfig:
     DataConfig checks the values."""
     d = DataConfig()
     values = {f.name: _merged(args, file_cfg, f.name, getattr(d, f.name)) for f in fields(DataConfig)}
-    return DataConfig(**{k: _integer(v, k) if type(getattr(d, k)) is int else float(v) for k, v in values.items()})
+    return DataConfig(**{k: _integer(v, k) if type(getattr(d, k)) is int else _real(v, k) for k, v in values.items()})
 
 
 def cmd_gen_data(args, file_cfg) -> int:
@@ -160,17 +168,17 @@ def _train_config(args, file_cfg) -> TrainConfig:
     return TrainConfig(
         batch_size=_integer(_merged(args, file_cfg, "batch_size", d.batch_size), "batch_size"),
         epochs=_integer(_merged(args, file_cfg, "epochs", d.epochs), "epochs"),
-        base_lr=float(_merged(args, file_cfg, "lr", d.base_lr)),
-        beta1=float(_merged(args, file_cfg, "beta1", d.beta1)),
-        beta2=float(_merged(args, file_cfg, "beta2", d.beta2)),
-        weight_decay=float(_merged(args, file_cfg, "weight_decay", d.weight_decay)),
-        warmup_fraction=float(_merged(args, file_cfg, "warmup", d.warmup_fraction)),
+        base_lr=_real(_merged(args, file_cfg, "lr", d.base_lr), "lr"),
+        beta1=_real(_merged(args, file_cfg, "beta1", d.beta1), "beta1"),
+        beta2=_real(_merged(args, file_cfg, "beta2", d.beta2), "beta2"),
+        weight_decay=_real(_merged(args, file_cfg, "weight_decay", d.weight_decay), "weight_decay"),
+        warmup_fraction=_real(_merged(args, file_cfg, "warmup", d.warmup_fraction), "warmup"),
         schedule=_merged(args, file_cfg, "schedule", d.schedule),
         seed=_integer(_merged(args, file_cfg, "seed", d.seed), "seed"),
         eval_every=_integer(_merged(args, file_cfg, "eval_every", d.eval_every), "eval_every"),
         loss=LossConfig(
-            tau=float(_merged(args, file_cfg, "tau", d.loss.tau)),
-            lambda_secl=float(_merged(args, file_cfg, "lambda_secl", d.loss.lambda_secl)),
+            tau=_real(_merged(args, file_cfg, "tau", d.loss.tau), "tau"),
+            lambda_secl=_real(_merged(args, file_cfg, "lambda_secl", d.loss.lambda_secl), "lambda_secl"),
             bank_capacity=_integer(_merged(args, file_cfg, "bank_capacity", d.loss.bank_capacity), "bank_capacity"),
         ),
     )
@@ -184,23 +192,32 @@ def build_model(data_cfg: dict, seed: int, dim: int = EncoderConfig.dim, rff_sig
     return Model(rs_cfg, sv_cfg, loc_cfg, seed=seed)
 
 
+def _check_model_fits_data(model: Model, data_cfg: dict):
+    """Raise FormatError unless the model's encoders take the images of the
+    dataset whose manifest config is `data_cfg`."""
+    takes = (model.rs.config.channels, model.rs.config.image_size, model.sv.config.image_size)
+    has = tuple(data_cfg[k] for k in ("rs_channels", "rs_size", "sv_size"))
+    if has != takes:
+        raise FormatError(f"checkpoint model takes (rs_channels, rs_size, sv_size) = {takes}, but the dataset has {has}")
+
+
 def cmd_pretrain(args, file_cfg) -> int:
     records, manifest = read_dataset(args.data)
     try:
         cfg = _train_config(args, file_cfg)
     except (TypeError, ValueError, OverflowError) as exc:
         return _usage_error(f"bad training config: {exc}")
-    os.makedirs(args.out, exist_ok=True)
 
     if args.resume:
         state = load_checkpoint(args.resume)
         model, optimizer, bank, start = state["model"], state["optimizer"], state["bank"], state["step"]
         cfg = state["config"]
+        _check_model_fits_data(model, manifest["config"])
     else:
         try:
             dim = _integer(_merged(args, file_cfg, "dim", EncoderConfig.dim), "dim")
-            sigma = float(_merged(args, file_cfg, "rff_sigma", LocEncoderConfig.sigma))
-            sigma_min = float(_merged(args, file_cfg, "rff_sigma_min", LocEncoderConfig.sigma_min))
+            sigma = _real(_merged(args, file_cfg, "rff_sigma", LocEncoderConfig.sigma), "rff_sigma")
+            sigma_min = _real(_merged(args, file_cfg, "rff_sigma_min", LocEncoderConfig.sigma_min), "rff_sigma_min")
             model = build_model(manifest["config"], seed=cfg.seed, dim=dim, rff_sigma=sigma, rff_sigma_min=sigma_min)
         except (TypeError, ValueError, OverflowError) as exc:
             return _usage_error(f"bad model config: {exc}")
@@ -209,6 +226,7 @@ def cmd_pretrain(args, file_cfg) -> int:
 
     if len(records) < cfg.batch_size:
         return _usage_error(f"dataset of {len(records)} records is smaller than one batch of {cfg.batch_size}")
+    os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     run_cfg = {"train": asdict(cfg), "data": manifest["config"]}
     with open(os.path.join(args.out, "run_config.json"), "w", encoding="utf-8") as fh:
@@ -246,6 +264,7 @@ def cmd_evaluate(args, file_cfg) -> int:
     state = load_checkpoint(args.checkpoint)
     records, manifest = read_dataset(args.data)
     model = state["model"]
+    _check_model_fits_data(model, manifest["config"])
     holdout = min(args.holdout, len(records))
     z, g, cls = _holdout_embeddings(model, records, holdout)
     truth = np.arange(len(z))
@@ -271,10 +290,11 @@ def cmd_heatmap(args, file_cfg) -> int:
     if not 0 < args.resolution < math.inf or args.cells < 1:
         return _usage_error("--resolution must be positive and finite and --cells positive")
     state = load_checkpoint(args.checkpoint)
-    records, _ = read_dataset(args.data)
+    records, manifest = read_dataset(args.data)
     if not 0 <= args.index < len(records):
         return _usage_error(f"sample index {args.index} out of range (dataset has {len(records)})")
     model = state["model"]
+    _check_model_fits_data(model, manifest["config"])
     r = records[args.index]
     rng = np.random.default_rng(0)
     batch = make_batch(records, [args.index], rng, augment=False)

@@ -63,13 +63,12 @@ def audit_cases(seed: int = 0):
     add("l2_normalize_rows", lambda a: (l2_normalize_rows(a) * l2_normalize_rows(a).gelu()).sum(), (3, 5))
 
     d = 3
-    add("f_theta", lambda w, b, z, dl: (inr.f_theta(inr.FThetaParams(w, b), z, dl)).sum(),
-        (9 * d + 2, d), (d,), (2, 9 * d), (2, 2))
+    add("f_theta", lambda w, b, z: (inr.f_theta(inr.FThetaParams(w, b), z)).sum(), (9 * d, d), (d,), (2, 9 * d))
 
     def inr_loss(w, b, fm):
         return inr.inr_lookup(inr.FThetaParams(w, b), fm, queries).sum()
 
-    queries = add("inr_lookup", inr_loss, (9 * d + 2, d), (d,), (3, 4, 4, d)).uniform(-0.7, 0.7, (3, 2))
+    queries = add("inr_lookup", inr_loss, (9 * d, d), (d,), (3, 4, 4, d)).uniform(-0.7, 0.7, (3, 2))
 
     def incl(a, b):
         return objectives.incl_loss(l2_normalize_rows(a), l2_normalize_rows(b), tau=0.5)

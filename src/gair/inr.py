@@ -6,19 +6,21 @@ the four surrounding patch latents each produce a decoder prediction,
 blended with bilinear area weights so the result is continuous across
 cell boundaries.
 
-The decoder is affine, f_theta(z, delta) = z W_z + delta W_delta + b, so the
-ensemble has a closed form: sum_k w_k f_theta(z_k, delta_k) =
-(sum_k w_k z_k) W_z + b. It is exact because the bilinear weights sum to 1
-and reproduce linear functions, so sum_k w_k delta_k = 0 (clamped queries
-are moved onto the hull first). `inr_lookup` is that formula as one
-autodiff node over (feature map, W, b): it gathers the 3x3 neighborhoods
-of only the four corner cells each query reads, and its closed-form
-backward scatters into those cells alone. `unfold3x3` + `inr_query_batch`
-compute the same values through the whole unfolded map; they are
-forward-only, kept for sharing one unfolded map across many queries
-(`heatmap_inr`) and as the reference, and `f_theta` stays as the
-reference decoder. Both lookups blend and decode in `_blend_decode`, and
-take the patch-cell centres and the hull from `gair.geo`.
+The decoder is affine, f_theta(z) = z W + b, so the ensemble has a closed
+form: sum_k w_k f_theta(z_k) = (sum_k w_k z_k) W + b, exact because the
+bilinear weights sum to 1. Unlike LIIF's decoder, it takes no
+query-to-corner offset: the bilinear weights also reproduce linear
+functions, so the blended offsets sum_k w_k delta_k are 0 (clamped queries
+are moved onto the hull first), and an affine offset term would add
+nothing to the ensemble. `inr_lookup` is that formula as one autodiff node over
+(feature map, W, b): it gathers the 3x3 neighborhoods of only the four
+corner cells each query reads, and its closed-form backward scatters into
+those cells alone. `unfold3x3` + `inr_query_batch` compute the same values
+through the whole unfolded map; they are forward-only, kept for sharing
+one unfolded map across many queries (`heatmap_inr`) and as the reference,
+and `f_theta` stays as the reference decoder. Both lookups blend and
+decode in `_blend_decode`, and take the patch-cell centres and the hull
+from `gair.geo`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import OutOfFootprintError, cell_centers, interpolation_hull
-from .tensor import Tensor, concat, l2_normalize_rows, matmul
+from .tensor import Tensor, l2_normalize_rows, matmul
 
 __all__ = [
     "FThetaParams",
@@ -47,21 +49,18 @@ _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1
 
 @dataclass
 class FThetaParams:
-    """Single affine layer over concat(latent, offset): W [9D+2, D], b [D].
-
-    The last two rows of W, which weight the offset, are inert in the
-    local ensemble: its closed form never reads them, so training gives
-    them exactly zero gradient. They are kept so that `f_theta` and the
-    checkpoint layout stay as they are.
-    """
+    """Single affine layer over the unfolded latent: W [9D, D], b [D]."""
 
     weight: Tensor
     bias: Tensor
 
     @staticmethod
     def init(d: int, rng: np.random.Generator, dtype=np.float32) -> "FThetaParams":
+        # The draw has two rows more than the weight keeps, at the matching
+        # scale: the rows the decoder's offset input once had. So each seed
+        # keeps its initial weights and the generator's later draws.
         fan_in = 9 * d + 2
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, d))
+        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, d))[: 9 * d]
         return FThetaParams(
             weight=Tensor(w.astype(dtype), requires_grad=True),
             bias=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
@@ -69,8 +68,8 @@ class FThetaParams:
 
     @staticmethod
     def passthrough(d: int, dtype=np.float64) -> "FThetaParams":
-        """Extracts the center block of the unfolded latent; ignores the offset."""
-        w = np.zeros((9 * d + 2, d), dtype=dtype)
+        """Extracts the center block of the unfolded latent."""
+        w = np.zeros((9 * d, d), dtype=dtype)
         w[4 * d : 5 * d, :] = np.eye(d, dtype=dtype)
         return FThetaParams(weight=Tensor(w), bias=Tensor(np.zeros(d, dtype=dtype)))
 
@@ -96,12 +95,11 @@ def unfold3x3(fm: Tensor) -> Tensor:
 
 @dataclass
 class EnsembleGeometry:
-    """Corner indices, decoder offsets, and area weights for one query."""
+    """Corner indices and area weights for one query."""
 
     rows: np.ndarray  # (n, 4) int, corner row indices (N then S)
     cols: np.ndarray  # (n, 4) int
     weights: np.ndarray  # (n, 4), nonnegative, rows sum to 1
-    deltas: np.ndarray  # (n, 4, 2) query-minus-corner offsets in cell units
     clamped: np.ndarray  # (n,) bool, query was outside the patch-center hull
 
 
@@ -133,23 +131,16 @@ def ensemble_weights(queries: np.ndarray, P: int) -> EnsembleGeometry:
     # Corner order: (N,W), (N,E), (S,W), (S,E).
     rows = np.stack([a0, a0, a0 + 1, a0 + 1], axis=1)
     cols = np.stack([b0, b0 + 1, b0, b0 + 1], axis=1)
-    corner_u, corner_v = cell_centers(P, rows, cols)
-    tu = (qc[:, 0] - corner_u[:, 0]) / cell  # 0 at west corner, 1 at east
-    tv = (corner_v[:, 0] - qc[:, 1]) / cell  # 0 at north corner, 1 at south
-
-    w_nw = (1 - tu) * (1 - tv)
-    w_ne = tu * (1 - tv)
-    w_sw = (1 - tu) * tv
-    w_se = tu * tv
-    weights = np.stack([w_nw, w_ne, w_sw, w_se], axis=1)
-    deltas = np.stack([(qc[:, 0:1] - corner_u) / cell, (qc[:, 1:2] - corner_v) / cell], axis=2)
-    return EnsembleGeometry(rows=rows, cols=cols, weights=weights, deltas=deltas, clamped=clamped)
+    west_u, north_v = cell_centers(P, a0, b0)
+    tu = (qc[:, 0] - west_u) / cell  # 0 at west corner, 1 at east
+    tv = (north_v - qc[:, 1]) / cell  # 0 at north corner, 1 at south
+    weights = np.stack([(1 - tu) * (1 - tv), tu * (1 - tv), (1 - tu) * tv, tu * tv], axis=1)
+    return EnsembleGeometry(rows=rows, cols=cols, weights=weights, clamped=clamped)
 
 
-def f_theta(params: FThetaParams, z_k: Tensor, delta: Tensor) -> Tensor:
-    """Implicit decoder: affine layer over concat(latent, cell-unit offset)."""
-    joined = concat([z_k, delta], axis=-1)
-    return matmul(joined, params.weight) + params.bias
+def f_theta(params: FThetaParams, z_k: Tensor) -> Tensor:
+    """Implicit decoder: affine layer over the unfolded latent."""
+    return matmul(z_k, params.weight) + params.bias
 
 
 def _blend_decode(params: FThetaParams, corners: np.ndarray, weights: np.ndarray) -> tuple:
@@ -157,7 +148,7 @@ def _blend_decode(params: FThetaParams, corners: np.ndarray, weights: np.ndarray
     four corner neighborhoods (N, 4, 9D) blended by their area weights
     (N, 4), then decoded once. Returns (blend, decoded)."""
     blend = (corners * weights[:, :, None].astype(corners.dtype)).sum(axis=1)  # (N, 9D)
-    return blend, blend @ params.weight.values[: corners.shape[-1]] + params.bias.values
+    return blend, blend @ params.weight.values + params.bias.values
 
 
 def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray, normalize: bool = True) -> Tensor:
@@ -190,15 +181,13 @@ def inr_lookup(params: FThetaParams, fm: Tensor, queries: np.ndarray, normalize:
     padded = np.pad(fm.values, [(0, 0), (1, 1), (1, 1), (0, 0)])
     cells = [(np.arange(n)[:, None], geom.rows + 1 + di, geom.cols + 1 + dj) for di, dj in _NEIGHBOR_OFFSETS]
     blended, out_vals = _blend_decode(params, np.concatenate([padded[c] for c in cells], axis=-1), geom.weights)
-    w_z = params.weight.values[: 9 * d]
+    w = params.weight.values
 
     def bwd(g):
         params.bias._accumulate(g.sum(axis=0))
-        d_weight = np.zeros_like(params.weight.values)
-        d_weight[: 9 * d] = blended.T @ g
-        params.weight._accumulate(d_weight)
+        params.weight._accumulate(blended.T @ g)
         # Within one offset a sample's four corners are distinct cells: += is exact.
-        h = (g @ w_z.T)[:, None, :] * geom.weights[:, :, None].astype(fm.dtype)
+        h = (g @ w.T)[:, None, :] * geom.weights[:, :, None].astype(fm.dtype)
         full = np.zeros((n, P + 2, P + 2, d), dtype=fm.dtype)
         for o, c in enumerate(cells):
             full[c] += h[..., o * d : (o + 1) * d]

@@ -24,7 +24,7 @@ from .tensor import ContractError, Tensor, backward, enable_grad
 __all__ = ["TrainConfig", "AdamW", "Model", "lr_at", "train_step", "train", "save_checkpoint", "load_checkpoint"]
 
 CKPT_MAGIC = b"GAIRCKPT"
-CKPT_VERSION = 2  # version 1 files, hashed with the old config_hash expression, still load
+CKPT_VERSION = 3
 _MODEL_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -218,16 +218,9 @@ def train_step(model: Model, batch: TripleBatch, bank: MemoryBank, optimizer: Ad
     }
 
 
-def config_hash(model: Model, config: TrainConfig, version: int = CKPT_VERSION) -> str:
-    """The checkpoint header's short hash of the model and training configs.
-
-    Version 1 hashed the two dicts merged into one, where the training seed
-    overwrote the model seed, so the hash did not cover the model seed.
-    """
-    if version == 1:
-        configs = {**model.configs(), **asdict(config)}
-    else:
-        configs = {"model": model.configs(), "train": asdict(config)}
+def config_hash(model: Model, config: TrainConfig) -> str:
+    """The checkpoint header's short hash of the model and training configs."""
+    configs = {"model": model.configs(), "train": asdict(config)}
     return hashlib.sha256(json.dumps(configs, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -268,10 +261,11 @@ def train(model, records, config: TrainConfig, bank=None, optimizer=None, start_
 # -- checkpoint format ----------------------------------------------------------
 #
 # magic (8) | version <u32 | header_len <u64 | header JSON (utf-8) | raw data.
-# The header lists every array (name, dtype, shape, offset into the data
-# section, in order), the model dtype, the step, config, and config hash.
-# Each array starts where the previous one ends, and the last one ends the
-# file. A header without a dtype holds a float32 model.
+# The version lives in the preamble alone. Only version 3 loads: older
+# files hold a decoder weight of another shape, (9D+2, D). The header lists
+# every array (name, dtype, shape, offset into the data section, in order),
+# the model dtype, the step, config, and config hash. Each array starts
+# where the previous one ends, and the last one ends the file.
 
 
 def _checkpoint_arrays(model: Model, optimizer: AdamW, bank: MemoryBank) -> list:
@@ -290,7 +284,6 @@ def save_checkpoint(path, model: Model, optimizer: AdamW, bank: MemoryBank, conf
         entries.append({"name": name, "dtype": kind, "shape": list(arr.shape), "offset": offset})
         offset += len(blobs[-1])
     header = {
-        "version": CKPT_VERSION,
         "dtype": np.dtype(model.dtype).name,
         "step": step,
         "adam_t": optimizer.t,
@@ -320,19 +313,19 @@ def load_checkpoint(path) -> dict:
     if len(raw) < 20:
         raise FormatError("checkpoint truncated in its preamble", offset=len(raw))
     version, header_len = struct.unpack_from("<IQ", raw, 8)
-    if version not in (1, CKPT_VERSION):
+    if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     header_end = 20 + header_len
     try:
         header = json.loads(raw[20:header_end])
     except ValueError:
         raise FormatError("corrupt checkpoint header", offset=20) from None
-    require_keys(header, ("step", "adam_t", "model", "train_config", "config_hash", "arrays"), "checkpoint header")
+    require_keys(header, ("dtype", "step", "adam_t", "model", "train_config", "config_hash", "arrays"), "checkpoint header")
     require_keys(header["model"], ("rs", "sv", "loc", "seed"), "checkpoint model config")
     for key in ("step", "adam_t"):
         if not isinstance(header[key], int) or header[key] < 0:
             raise FormatError(f"checkpoint {key} must be a non-negative integer, not {header[key]!r}")
-    dtype = header.get("dtype", "float32")  # headers before the field held float32 models
+    dtype = header["dtype"]
     if not isinstance(dtype, str) or dtype not in _MODEL_DTYPES:
         raise FormatError(f"unsupported checkpoint model dtype {dtype!r}")
     try:
@@ -340,7 +333,7 @@ def load_checkpoint(path) -> dict:
         config = TrainConfig(**header["train_config"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed config in checkpoint header: {exc}") from None
-    if header["config_hash"] != config_hash(model, config, version):
+    if header["config_hash"] != config_hash(model, config):
         raise FormatError("checkpoint config_hash does not match its configs")
 
     params = model.parameters()

@@ -16,16 +16,18 @@ ACCEPTANCE_LINES = []
 @pytest.fixture
 def edit_checkpoint_header():
     """Rewrite a checkpoint's JSON header in place with `edit(header)`,
-    keeping the magic, the version and the data section."""
+    keeping the magic and the data section, and the preamble's version
+    unless `version` replaces it."""
 
-    def edit_header(path, edit):
+    def edit_header(path, edit, version=None):
         raw = open(path, "rb").read()
-        version, header_len = struct.unpack_from("<IQ", raw, 8)
+        old_version, header_len = struct.unpack_from("<IQ", raw, 8)
         header = json.loads(raw[20 : 20 + header_len])
         edit(header)
         body = json.dumps(header, sort_keys=True).encode()
+        preamble = struct.pack("<IQ", old_version if version is None else version, len(body))
         with open(path, "wb") as fh:
-            fh.write(raw[:8] + struct.pack("<IQ", version, len(body)) + body + raw[20 + header_len :])
+            fh.write(raw[:8] + preamble + body + raw[20 + header_len :])
 
     return edit_header
 

@@ -112,7 +112,7 @@ class TestCriterion2:
             geom = ensemble_weights(np.array([q]), P)
             k = int(np.argmax(geom.weights[0]))
             z = unfolded.values[0, geom.rows[0, k], geom.cols[0, k]][None]
-            out = f_theta(params, Tensor(z), Tensor(geom.deltas[0, k][None])).values
+            out = f_theta(params, Tensor(z)).values
             return out / np.linalg.norm(out)
 
         control = 0.0

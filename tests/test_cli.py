@@ -35,6 +35,13 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def dataset_of(tmp_path, **edit):
+    """Generate a dataset from TINY_DATA with `edit` applied; returns its directory."""
+    out = str(tmp_path / "other_ds")
+    assert main(["--config", write_config(tmp_path, "other.json", {**TINY_DATA, **edit}), "gen-data", "--out", out]) == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A generated dataset plus a one-epoch pretrained checkpoint."""
@@ -75,8 +82,9 @@ class TestGenData:
     @pytest.mark.parametrize("edit", [
         {"rs_size": 0}, {"rs_size": 1}, {"temporal_variants": 0}, {"footprint_deg": 2.0},
         {"region_deg": -1}, {"modes": 0}, {"sv_size": 0},
-        # An integer field rejects a fractional number or a bool instead of truncating it.
-        {"count": 2.7, "rs_size": 16.9}, {"count": True},
+        # An integer field rejects a fractional number or a bool instead of truncating it,
+        # and a float field rejects a bool instead of reading it as 1.0.
+        {"count": 2.7, "rs_size": 16.9}, {"count": True}, {"footprint_deg": True},
     ], ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()))
     def test_rejected_dataset_value_is_usage_error(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path, "d.json", {**TINY_DATA, "count": 4, **edit})
@@ -223,15 +231,28 @@ class TestPretrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [{"epochs": 0.5, "batch_size": 2.9}, {"dim": 16.5}, {"eval_every": True}],
-                             ids=["fractional", "fractional-dim", "bool"])
-    def test_non_integer_config_value_is_usage_error(self, tmp_path, workspace, capsys, edit):
-        """An integer field rejects a fractional number or a bool instead of truncating it."""
+    @pytest.mark.parametrize("edit, message", [
+        ({"epochs": 0.5, "batch_size": 2.9}, "must be an integer"), ({"dim": 16.5}, "must be an integer"),
+        ({"eval_every": True}, "must be an integer"), ({"lr": True}, "lr must be a number"),
+    ], ids=["fractional", "fractional-dim", "bool", "bool-lr"])
+    def test_non_integer_config_value_is_usage_error(self, tmp_path, workspace, capsys, edit, message):
+        """An integer field rejects a fractional number or a bool instead of
+        truncating it, and a float field rejects a bool instead of reading it
+        as 1.0."""
         cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN, **edit})
         rc = main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
+    def test_resume_on_a_dataset_of_other_image_sizes_is_data_error(self, tmp_path, workspace, capsys):
+        # 24 records leave the one-epoch checkpoint three steps to train.
+        other = dataset_of(tmp_path, count=24, rs_size=16)
+        out = tmp_path / "o"
+        rc = main(["pretrain", "--data", other, "--out", str(out), "--resume", workspace["ckpt"]])
+        assert rc == 3
+        assert "rs_size" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_on_dataset_smaller_than_batch_is_usage_error(self, tmp_path, workspace, capsys):
         small = str(tmp_path / "small")
@@ -293,6 +314,24 @@ class TestEvaluate:
         assert main([command, "--data", str(ds), *args]) == 3
         assert "mt19937" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit", [{"rs_size": 16}, {"sv_size": 16}, {"rs_channels": 1}],
+                             ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()))
+    def test_dataset_of_other_image_sizes_is_data_error(self, workspace, tmp_path, capsys, edit):
+        other = dataset_of(tmp_path, **edit)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", workspace["ckpt"], "--data", other, "--out", str(out)]) == 3
+        assert "the dataset has" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_checkpoint_version_is_data_error(self, workspace, tmp_path, capsys, edit_checkpoint_header, version):
+        old = tmp_path / "old.bin"
+        old.write_bytes(open(workspace["ckpt"], "rb").read())
+        edit_checkpoint_header(old, lambda header: None, version=version)
+        assert main(["evaluate", "--checkpoint", str(old), "--data", workspace["ds"]]) == 3
+        assert f"unsupported checkpoint version {version}" in capsys.readouterr().err
 
     def test_checkpoint_header_without_arrays_is_data_error(self, workspace, tmp_path, edit_checkpoint_header):
         bad = tmp_path / "bad.bin"
@@ -391,6 +430,17 @@ class TestHeatmap:
                    "--index", "0", "--out", str(tmp_path / "missing" / "hm")])
         assert rc == 2
         assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["inr", "loc"])
+    def test_dataset_of_other_image_sizes_is_data_error(self, workspace, tmp_path, capsys, mode):
+        other = dataset_of(tmp_path, rs_size=16)
+        prefix = tmp_path / "hm"
+        capsys.readouterr()
+        rc = main(["heatmap", "--checkpoint", workspace["ckpt"], "--data", other, "--index", "0", "--mode", mode,
+                   "--out", str(prefix)])
+        assert rc == 3
+        assert "rs_size" in capsys.readouterr().err
+        assert list(tmp_path.glob("hm*")) == []
 
     def test_index_out_of_range_is_usage_error(self, workspace, tmp_path):
         rc = main(["heatmap", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"],

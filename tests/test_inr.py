@@ -139,27 +139,40 @@ class TestFTheta:
         d = 4
         z = rng.normal(size=(2, 9 * d))
         params = FThetaParams.passthrough(d)
-        out = f_theta(params, Tensor(z), Tensor(rng.normal(size=(2, 2))))
+        out = f_theta(params, Tensor(z))
         assert np.allclose(out.values, z[:, 4 * d : 5 * d])
 
     def test_zero_weights_bias_only(self):
         d = 3
         b = np.array([1.0, -2.0, 0.5])
-        params = FThetaParams(Tensor(np.zeros((9 * d + 2, d))), Tensor(b))
-        out = f_theta(params, Tensor(np.ones((5, 9 * d))), Tensor(np.zeros((5, 2))))
+        params = FThetaParams(Tensor(np.zeros((9 * d, d))), Tensor(b))
+        out = f_theta(params, Tensor(np.ones((5, 9 * d))))
         assert np.allclose(out.values, np.tile(b, (5, 1)))
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
         d = 3
-        w, b = t64(rng.normal(size=(9 * d + 2, d))), t64(rng.normal(size=(d,)))
-        z, delta = t64(rng.normal(size=(2, 9 * d))), t64(rng.normal(size=(2, 2)))
-        def loss(W, B, Z, DL):
-            out = f_theta(FThetaParams(W, B), Z, DL)
+        w, b = t64(rng.normal(size=(9 * d, d))), t64(rng.normal(size=(d,)))
+        z = t64(rng.normal(size=(2, 9 * d)))
+        def loss(W, B, Z):
+            out = f_theta(FThetaParams(W, B), Z)
             return (out * out).sum()
 
-        report = grad_check(loss, [w, b, z, delta], tolerance=1e-4)
+        report = grad_check(loss, [w, b, z], tolerance=1e-4)
         assert report.passed
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_keeps_the_full_draw(self, dtype):
+        """The initial weight is the first 9D rows of a (9D+2, D) draw at scale
+        1/sqrt(9D+2), and the generator ends where that full draw leaves it,
+        so every model seed keeps the weights and later draws it always had."""
+        d = 5
+        rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+        params = FThetaParams.init(d, rng, dtype=dtype)
+        full = ref.normal(0.0, 1.0 / np.sqrt(9 * d + 2), size=(9 * d + 2, d))
+        assert params.weight.shape == (9 * d, d) and params.weight.dtype == dtype
+        assert np.array_equal(params.weight.values, full[: 9 * d].astype(dtype))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestInrQuery:
@@ -223,7 +236,7 @@ class TestInrQuery:
         d = 3
         queries = rng.uniform(-0.6, 0.6, size=(2, 2))
         fm = t64(rng.normal(size=(2, 4, 4, d)))
-        w, b = t64(rng.normal(size=(9 * d + 2, d))), t64(rng.normal(size=(d,)))
+        w, b = t64(rng.normal(size=(9 * d, d))), t64(rng.normal(size=(d,)))
 
         def loss(W, B, FM):
             return inr_lookup(FThetaParams(W, B), FM, queries).sum()
@@ -241,35 +254,32 @@ class TestInrQuery:
 
 
 def four_term_ensemble(params, unfolded, queries):
-    """Reference: sum_k w_k f_theta(z_k, delta_k), each corner decoded on its own."""
+    """Reference: sum_k w_k f_theta(z_k), each corner decoded on its own."""
     geom = ensemble_weights(queries, unfolded.shape[1])
     dtype = unfolded.dtype
     n = np.arange(len(queries))
     out = 0.0
     for k in range(4):
         z_k = Tensor(unfolded.values[n, geom.rows[:, k], geom.cols[:, k]])
-        pred = f_theta(params, z_k, Tensor(geom.deltas[:, k].astype(dtype))).values
+        pred = f_theta(params, z_k).values
         out = out + pred * geom.weights[:, k : k + 1].astype(dtype)
     return out
 
 
 def chain_ensemble(unfolded, weight, bias, queries, g):
     """The unfused lookup in numpy, as gather, blend-weights product, sum over
-    corners, weight slice, matmul and bias add computed it: the value and the
-    gradients of (unfolded, weight, bias) for the upstream gradient g."""
+    corners, matmul and bias add computed it: the value and the gradients of
+    (unfolded, weight, bias) for the upstream gradient g."""
     geom = ensemble_weights(queries, unfolded.shape[1])
-    nine_d = unfolded.shape[-1]
     idx = np.arange(len(unfolded)).reshape(-1, 1)
     corners = unfolded[idx, geom.rows, geom.cols, :]
     w = geom.weights[:, :, None].astype(unfolded.dtype)
     blended = (corners * w).sum(axis=1)
-    out = blended @ weight[:nine_d] + bias
-    d_weight = np.zeros_like(weight)
-    d_weight[:nine_d] = blended.T @ g
-    d_corners = np.broadcast_to(np.expand_dims(g @ weight[:nine_d].T, 1), corners.shape).copy() * w
+    out = blended @ weight + bias
+    d_corners = np.broadcast_to(np.expand_dims(g @ weight.T, 1), corners.shape).copy() * w
     d_unfolded = np.zeros_like(unfolded)
     np.add.at(d_unfolded, (idx, geom.rows, geom.cols), d_corners)
-    return out, d_unfolded, d_weight, g.sum(axis=0)
+    return out, d_unfolded, blended.T @ g, g.sum(axis=0)
 
 
 class TestClosedFormEnsemble:
@@ -280,8 +290,6 @@ class TestClosedFormEnsemble:
         fm = Tensor(rng.normal(size=(n, P, P, d)).astype(dtype))
         params = FThetaParams.init(d, rng, dtype=dtype)
         params.bias = Tensor(rng.normal(size=d).astype(dtype))
-        # the offset rows are live in the reference, so the test sees them
-        params.weight.values[-2:] = rng.normal(0, 1, size=(2, d)).astype(dtype)
         queries = rng.uniform(-1, 1, size=(n, 2))  # about a third lie in the clamped margin
         assert ensemble_weights(queries, P).clamped.sum() > n // 5
         unfolded = unfold3x3(fm)
@@ -297,7 +305,7 @@ class TestClosedFormEnsemble:
         rng = np.random.default_rng(15)
         for P, d, n in [(4, 5, 200), (2, 3, 40), (3, 4, 1)]:
             fm = Tensor(rng.normal(size=(n, P, P, d)).astype(dtype), requires_grad=True)
-            weight = Tensor(rng.normal(size=(9 * d + 2, d)).astype(dtype), requires_grad=True)
+            weight = Tensor(rng.normal(size=(9 * d, d)).astype(dtype), requires_grad=True)
             bias = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
             queries = rng.uniform(-1, 1, size=(n, 2))
             queries[0] = [0.97, -0.99]  # in the clamped margin at every P
@@ -326,7 +334,7 @@ class TestClosedFormEnsemble:
         want = inr_query_batch(params, unfold3x3(fm), queries, normalize=normalize).values
         assert np.array_equal(inr_lookup(params, fm, queries, normalize=normalize).values, want)
 
-    def test_offset_rows_get_exactly_zero_gradient(self):
+    def test_every_decoder_weight_row_gets_a_gradient(self):
         rng = np.random.default_rng(14)
         d = 4
         params = FThetaParams.init(d, rng, dtype=np.float64)
@@ -334,8 +342,8 @@ class TestClosedFormEnsemble:
         with enable_grad():
             out = inr_lookup(params, fm, rng.uniform(-1, 1, size=(3, 2)))
             backward((out * Tensor(rng.normal(size=out.shape))).sum())
-        assert np.all(params.weight.grad[-2:] == 0.0)
-        assert np.all(np.abs(params.weight.grad[:-2]).sum(axis=1) > 0.0)
+        assert params.weight.grad.shape == (9 * d, d)
+        assert np.all(np.abs(params.weight.grad).sum(axis=1) > 0.0)
 
 
 class TestForwardOnlyPair:
@@ -375,5 +383,5 @@ def _nearest_cell_only(params, um_grid, q):
     geom = ew(np.array([q]), P)
     k = int(np.argmax(geom.weights[0]))
     z = um_grid[geom.rows[0, k], geom.cols[0, k]][None]
-    out = f_theta(params, T(z), T(geom.deltas[0, k][None])).values
+    out = f_theta(params, T(z)).values
     return out / max(np.linalg.norm(out), 1e-12)

@@ -1,6 +1,4 @@
 import contextlib
-import hashlib
-import json
 import math
 import struct
 import tracemalloc
@@ -450,14 +448,7 @@ class TestCheckpoint:
         save_checkpoint(path2, loaded["model"], loaded["optimizer"], loaded["bank"], loaded["config"], step=loaded["step"])
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_header_without_dtype_loads_float32(self, tmp_path, edit_checkpoint_header):
-        _, _, _, _, path = self.run_short(tmp_path)
-        edit_checkpoint_header(path, lambda header: header.pop("dtype"))
-        loaded = load_checkpoint(path)
-        assert loaded["model"].dtype == np.float32
-        assert all(p.dtype == np.float32 for p in loaded["model"].parameters().values())
-
-    @pytest.mark.parametrize("key", ["arrays", "model", "adam_t"])
+    @pytest.mark.parametrize("key", ["arrays", "model", "adam_t", "dtype"])
     def test_header_missing_key_is_format_error(self, tmp_path, edit_checkpoint_header, key):
         _, _, _, _, path = self.run_short(tmp_path)
         edit_checkpoint_header(path, lambda header: header.pop(key))
@@ -558,33 +549,11 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
-    @staticmethod
-    def relabel_as_version_1(path, config_hash):
-        """Rewrite a checkpoint as a version-1 file carrying `config_hash`."""
-        raw = path.read_bytes()
-        header_len = struct.unpack_from("<Q", raw, 12)[0]
-        header = json.loads(raw[20 : 20 + header_len])
-        header.update(version=1, config_hash=config_hash(header))
-        body = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(raw[:8] + struct.pack("<IQ", 1, len(body)) + body + raw[20 + header_len :])
-
-    def test_version_1_checkpoint_still_loads(self, tmp_path):
-        model, _, _, cfg, path = self.run_short(tmp_path)
-
-        def merged_hash(header):  # version 1's expression: the training seed overwrites the model seed
-            merged = {**header["model"], **header["train_config"]}
-            return hashlib.sha256(json.dumps(merged, sort_keys=True).encode()).hexdigest()[:16]
-
-        self.relabel_as_version_1(path, merged_hash)
-        loaded = load_checkpoint(path)
-        assert loaded["header"]["version"] == 1 and loaded["model"].seed == model.seed
-        params = model.parameters()
-        assert all(np.array_equal(p.values, params[n].values) for n, p in loaded["model"].parameters().items())
-
-    def test_version_1_checkpoint_with_version_2_hash_is_format_error(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_is_format_error(self, tmp_path, edit_checkpoint_header, version):
         _, _, _, _, path = self.run_short(tmp_path)
-        self.relabel_as_version_1(path, lambda header: header["config_hash"])
-        with pytest.raises(FormatError, match="config_hash"):
+        edit_checkpoint_header(path, lambda header: None, version=version)
+        with pytest.raises(FormatError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [0, 9, 19])
