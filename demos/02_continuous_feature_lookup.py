@@ -33,13 +33,16 @@ print("weights:", np.round(geom.weights[0], 4), "sum =", geom.weights[0].sum())
 # Step 3: blend and decode. The decoder is affine, so decoding each corner
 # and blending the four outputs equals blending the four latents and decoding
 # once. It reads no query-to-corner offset: the weights average the corner
-# offsets to zero, so an affine offset term would cancel. inr_query_batch
-# computes that closed form from the unfolded map, forward only; it pays
-# off when many queries share one map, as a heatmap's do. Training calls
-# inr_lookup instead: it gathers the 3x3 neighborhoods of just the four
-# corner cells straight from the grid, is differentiable, and gives the
-# same values bit for bit. With the passthrough decoder the whole pipeline
-# collapses to plain bilinear interpolation, which we can check directly.
+# offsets to zero, so an affine offset term would cancel. The two lookups
+# take the two orders. inr_query_batch decodes every cell of the unfolded
+# map once and then blends each query's four decoded corners, forward only:
+# that pays off when many queries share one map, as a heatmap's do.
+# Training calls inr_lookup instead: one query per map, so it gathers the
+# 3x3 neighborhoods of just the four corner cells straight from the grid,
+# blends them and decodes once, differentiably. The two agree to rounding.
+# The passthrough decoder copies the center block exactly, so with it they
+# agree bit for bit, and the whole pipeline collapses to plain bilinear
+# interpolation, which we can check directly.
 z = inr_query_batch(FThetaParams.passthrough(D), unfolded, q, normalize=False)
 ref = bilinear_oracle(grid, q)
 print("max |inr - bilinear oracle| =", np.max(np.abs(z.values - ref)))

@@ -201,19 +201,38 @@ def _check_model_fits_data(model: Model, data_cfg: dict):
         raise FormatError(f"checkpoint model takes (rs_channels, rs_size, sv_size) = {takes}, but the dataset has {has}")
 
 
-def cmd_pretrain(args, file_cfg) -> int:
-    records, manifest = read_dataset(args.data)
-    try:
-        cfg = _train_config(args, file_cfg)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return _usage_error(f"bad training config: {exc}")
+# The pretrain options a resumed run takes from its checkpoint: argparse dest,
+# which is also the config-file key, to flag.
+_CHECKPOINT_FIXED = {
+    "seed": "--seed", "batch_size": "--batch-size", "epochs": "--epochs", "lr": "--lr", "beta1": "--beta1",
+    "beta2": "--beta2", "weight_decay": "--weight-decay", "warmup": "--warmup", "schedule": "--schedule",
+    "tau": "--tau", "lambda_secl": "--lambda", "bank_capacity": "--bank-capacity", "eval_every": "--eval-every",
+    "dim": "--dim", "rff_sigma": "--rff-sigma", "rff_sigma_min": "--rff-sigma-min",
+}
 
+
+def cmd_pretrain(args, file_cfg) -> int:
+    if args.resume:
+        given = [flag for key, flag in _CHECKPOINT_FIXED.items() if getattr(args, key) is not None]
+        if given:
+            return _usage_error(f"{', '.join(given)} cannot change a resumed run: --resume takes the training "
+                                "and model config from the checkpoint")
+        # A config file may be shared with gen-data, so its values are only reported.
+        ignored = [key for key in _CHECKPOINT_FIXED if key in file_cfg]
+        if ignored:
+            _log(f"note: --resume takes the training and model config from the checkpoint; "
+                 f"ignoring config-file keys {', '.join(ignored)}")
+    records, manifest = read_dataset(args.data)
     if args.resume:
         state = load_checkpoint(args.resume)
         model, optimizer, bank, start = state["model"], state["optimizer"], state["bank"], state["step"]
         cfg = state["config"]
         _check_model_fits_data(model, manifest["config"])
     else:
+        try:
+            cfg = _train_config(args, file_cfg)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return _usage_error(f"bad training config: {exc}")
         try:
             dim = _integer(_merged(args, file_cfg, "dim", EncoderConfig.dim), "dim")
             sigma = _real(_merged(args, file_cfg, "rff_sigma", LocEncoderConfig.sigma), "rff_sigma")

@@ -177,7 +177,13 @@ def heatmap_loc(sv_emb: np.ndarray, loc_encoder, center: GeoPoint, resolution: f
 
 def heatmap_inr(sv_emb: np.ndarray, ftheta, unfolded, footprint: GeoFootprint, resolution: float) -> HeatmapGrid:
     """Cosine similarity between one SV embedding and localized RS embeddings
-    on a mesh over the footprint's interpolation hull."""
+    on a mesh over the footprint's interpolation hull.
+
+    `unfolded` is one unfolded feature map, (1, P, P, 9D), from `unfold3x3`.
+    Every mesh point reads it through one `inr_query_batch` call, which
+    decodes each of its P^2 cells once and then blends per point, so the
+    decode work does not grow with the mesh.
+    """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     hull = interpolation_hull(unfolded.shape[1])
@@ -188,10 +194,7 @@ def heatmap_inr(sv_emb: np.ndarray, ftheta, unfolded, footprint: GeoFootprint, r
     lats = lat_c - (np.arange(rows) - (rows - 1) / 2) * resolution
     u_g, v_g = np.meshgrid(*local_uv(lons, lats, *footprint.bounds))
     queries = np.stack([u_g.reshape(-1), v_g.reshape(-1)], axis=1)
-    n = len(queries)
-    # A zero-copy view: every query reads the same map.
-    shared = Tensor(np.broadcast_to(unfolded.values, (n,) + unfolded.shape[1:]))
-    emb = inr_query_batch(ftheta, shared, queries).values
+    emb = inr_query_batch(ftheta, unfolded, queries).values
     sims = emb @ np.asarray(sv_emb)
     return HeatmapGrid(origin=GeoPoint(lons[0], lats[0]), resolution=resolution, values=sims.reshape(rows, cols))
 

@@ -12,15 +12,20 @@ bilinear weights sum to 1. Unlike LIIF's decoder, it takes no
 query-to-corner offset: the bilinear weights also reproduce linear
 functions, so the blended offsets sum_k w_k delta_k are 0 (clamped queries
 are moved onto the hull first), and an affine offset term would add
-nothing to the ensemble. `inr_lookup` is that formula as one autodiff node over
-(feature map, W, b): it gathers the 3x3 neighborhoods of only the four
-corner cells each query reads, and its closed-form backward scatters into
-those cells alone. `unfold3x3` + `inr_query_batch` compute the same values
-through the whole unfolded map; they are forward-only, kept for sharing
-one unfolded map across many queries (`heatmap_inr`) and as the reference,
-and `f_theta` stays as the reference decoder. Both lookups blend and
-decode in `_blend_decode`, and take the patch-cell centres and the hull
-from `gair.geo`.
+nothing to the ensemble.
+
+Each lookup takes the order that fits its traffic. `inr_lookup`, used in
+training and embedding, reads one query per map, so it blends the four
+corner neighborhoods first and decodes once per query, as one autodiff
+node over (feature map, W, b): it gathers the 3x3 neighborhoods of only
+the four corner cells each query reads, and its closed-form backward
+scatters into those cells alone. `unfold3x3` + `inr_query_batch` serve a
+heatmap, where many queries read one map: they decode every cell of the
+unfolded map once and blend each query's four decoded corners, so the
+decoder runs per cell, not per query. They are forward-only, and agree
+with `inr_lookup` to rounding. `f_theta` stays as the reference decoder.
+Both lookups blend in `_blend`, and take the patch-cell centres and the
+hull from `gair.geo`.
 """
 
 from __future__ import annotations
@@ -143,24 +148,25 @@ def f_theta(params: FThetaParams, z_k: Tensor) -> Tensor:
     return matmul(z_k, params.weight) + params.bias
 
 
-def _blend_decode(params: FThetaParams, corners: np.ndarray, weights: np.ndarray) -> tuple:
-    """The ensemble's closed form (see the module docstring): each query's
-    four corner neighborhoods (N, 4, 9D) blended by their area weights
-    (N, 4), then decoded once. Returns (blend, decoded)."""
-    blend = (corners * weights[:, :, None].astype(corners.dtype)).sum(axis=1)  # (N, 9D)
-    return blend, blend @ params.weight.values + params.bias.values
+def _blend(corners: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each query's four corner rows (N, 4, C) blended by their area weights (N, 4)."""
+    return (corners * weights[:, :, None].astype(corners.dtype)).sum(axis=1)
 
 
 def inr_query_batch(params: FThetaParams, unfolded: Tensor, queries: np.ndarray, normalize: bool = True) -> Tensor:
-    """Localized embeddings for one query per sample, from an unfolded map.
+    """Localized embeddings for n queries, from an unfolded map.
 
-    unfolded: (N, P, P, 9D); queries: (N, 2) local coordinates. Returns
-    (N, D), L2-normalized unless normalize=False. Forward-only: it equals
-    `inr_lookup` on the map `unfolded` was unfolded from.
+    unfolded: (N, P, P, 9D), either one map that every query reads (N = 1)
+    or one map per query (N = n); any other N raises ValueError. queries:
+    (n, 2) local coordinates. Returns (n, D), L2-normalized unless
+    normalize=False. Every cell is decoded once, then each query blends its
+    four decoded corners (see the module docstring). Forward-only: it agrees
+    with `inr_lookup` on the map `unfolded` was unfolded from, to rounding.
     """
     geom = ensemble_weights(queries, unfolded.shape[1])
-    corners = unfolded.values[np.arange(unfolded.shape[0])[:, None], geom.rows, geom.cols]  # (N, 4, 9D)
-    _, out_vals = _blend_decode(params, corners, geom.weights)
+    decoded = unfolded.values @ params.weight.values + params.bias.values  # (N, P, P, D)
+    maps = np.broadcast_to(np.arange(unfolded.shape[0]), len(geom.rows))[:, None]
+    out_vals = _blend(decoded[maps, geom.rows, geom.cols], geom.weights)
     out = Tensor._make(out_vals, (unfolded, params.weight, params.bias), None)
     return l2_normalize_rows(out) if normalize else out
 
@@ -173,15 +179,16 @@ def inr_lookup(params: FThetaParams, fm: Tensor, queries: np.ndarray, normalize:
     feature map and the decoder parameters. The ensemble before the
     normalization is one node in closed form (see the module docstring):
     each corner's 3x3 neighborhood is gathered from the padded map, offset
-    by offset in `unfold3x3`'s order, so the values equal
-    `inr_query_batch(params, unfold3x3(fm), queries)` bit for bit.
+    by offset in `unfold3x3`'s order, and the four are blended before the
+    one decode, since each map is read by one query.
     """
     n, P, d = fm.shape[0], fm.shape[1], fm.shape[-1]
     geom = ensemble_weights(queries, P)
     padded = np.pad(fm.values, [(0, 0), (1, 1), (1, 1), (0, 0)])
     cells = [(np.arange(n)[:, None], geom.rows + 1 + di, geom.cols + 1 + dj) for di, dj in _NEIGHBOR_OFFSETS]
-    blended, out_vals = _blend_decode(params, np.concatenate([padded[c] for c in cells], axis=-1), geom.weights)
+    blended = _blend(np.concatenate([padded[c] for c in cells], axis=-1), geom.weights)  # (N, 9D)
     w = params.weight.values
+    out_vals = blended @ w + params.bias.values
 
     def bwd(g):
         params.bias._accumulate(g.sum(axis=0))

@@ -192,7 +192,23 @@ class TestPretrain:
         assert all(m["grad_norm_loc"] == 0.0 for m in metrics)
         assert any(m["grad_norm"] > 0.0 for m in metrics)
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path, workspace):
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "3"], ["--batch-size", "2"], ["--epochs", "4"], ["--lr", "0.5"], ["--beta1", "0.8"],
+        ["--beta2", "0.99"], ["--weight-decay", "0.1"], ["--warmup", "0.2"], ["--schedule", "constant"],
+        ["--tau", "0.2"], ["--lambda", "0.5"], ["--bank-capacity", "8"], ["--eval-every", "1"], ["--dim", "32"],
+        ["--rff-sigma", "5"], ["--rff-sigma-min", "0.5"], ["--epochs", "4", "--lr", "0.5"],
+    ], ids=lambda flags: "".join(f for f in flags if f.startswith("--")))
+    def test_training_flag_with_resume_is_usage_error(self, tmp_path, workspace, capsys, flags):
+        """--resume trains on the checkpoint's config, so a flag that would
+        set another is refused before anything is written."""
+        out = tmp_path / "o"
+        rc = main(["pretrain", "--data", workspace["ds"], "--out", str(out), "--resume", workspace["ckpt"], *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert not out.exists()
+
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, workspace, capsys):
         cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN, "epochs": 2, "eval_every": 3})
         full = str(tmp_path / "full")
         assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", full]) == 0
@@ -200,9 +216,13 @@ class TestPretrain:
         part = str(tmp_path / "part")
         assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", part]) == 0
         resumed = str(tmp_path / "resumed")
+        capsys.readouterr()
         rc = main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", resumed,
                    "--resume", os.path.join(part, "ckpt_000003.bin")])
         assert rc == 0
+        # The config file's training keys are reported as ignored, in one line.
+        (note,) = [line for line in capsys.readouterr().err.splitlines() if "ignoring config-file keys" in line]
+        assert all(key in note for key in ("seed", "batch_size", "epochs", "eval_every", "dim", "rff_sigma"))
         a = open(os.path.join(full, "checkpoint.bin"), "rb").read()
         b = open(os.path.join(resumed, "checkpoint.bin"), "rb").read()
         assert a == b

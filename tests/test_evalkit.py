@@ -16,7 +16,7 @@ from gair.evalkit import (
     write_heatmap_pgm,
 )
 from gair.geo import GeoFootprint, GeoPoint, to_local
-from gair.inr import FThetaParams, inr_query_batch, unfold3x3
+from gair.inr import FThetaParams, inr_lookup, inr_query_batch, unfold3x3
 from gair.tensor import Tensor
 
 
@@ -249,9 +249,12 @@ class TestHeatmaps:
         assert np.all(np.abs(grid.values) <= 1.0 + 1e-12)
 
     def test_heatmap_inr_matches_per_query_lookup(self):
+        """Each cell equals a one-query lookup on the unfolded map, and
+        inr_lookup on the feature map itself, which blends before decoding."""
         rng = np.random.default_rng(1)
         d = 6
-        um = unfold3x3(Tensor(rng.normal(size=(1, 4, 4, d)).astype(np.float32)))
+        fm = Tensor(rng.normal(size=(1, 4, 4, d)).astype(np.float32))
+        um = unfold3x3(fm)
         ftheta = FThetaParams.init(d, rng, dtype=np.float32)
         sv = unit_rows(rng, 1, d)[0]
         fp = GeoFootprint(0.1, 0.104, 0.2, 0.204)
@@ -262,6 +265,8 @@ class TestHeatmaps:
             for col in range(cols):
                 q = to_local(fp, grid.cell_center(row, col))
                 emb = inr_query_batch(ftheta, um, np.array([[q.u, q.v]])).values[0]
+                assert abs(float(emb @ sv) - grid.values[row, col]) < 1e-5
+                emb = inr_lookup(ftheta, fm, np.array([[q.u, q.v]])).values[0]
                 assert abs(float(emb @ sv) - grid.values[row, col]) < 1e-5
 
     def test_heatmap_inr_peak_at_matching_cell(self):

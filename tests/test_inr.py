@@ -231,6 +231,26 @@ class TestInrQuery:
         assert max_jump < 1e-4
         assert max_jump_nearest > 1e-4  # negative control
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_map_serves_every_query(self, dtype):
+        """A single map read by n queries gives what the map repeated n times gives."""
+        rng = np.random.default_rng(18)
+        P, d, n = 5, 6, 300
+        um = unfold3x3(Tensor(rng.normal(size=(1, P, P, d)).astype(dtype)))
+        params = FThetaParams.init(d, rng, dtype=dtype)
+        params.bias = Tensor(rng.normal(size=d).astype(dtype))
+        queries = rng.uniform(-1, 1, size=(n, 2))
+        shared = inr_query_batch(params, um, queries, normalize=False).values
+        repeated = inr_query_batch(params, Tensor(np.repeat(um.values, n, axis=0)), queries, normalize=False).values
+        assert shared.shape == (n, d) and shared.dtype == dtype
+        assert np.max(np.abs(shared - repeated)) < 1e-6
+
+    @pytest.mark.parametrize("maps", [2, 4])
+    def test_map_count_neither_one_nor_query_count_raises(self, maps):
+        um = unfold3x3(Tensor(np.ones((maps, 4, 4, 2))))
+        with pytest.raises(ValueError):
+            inr_query_batch(FThetaParams.passthrough(2), um, np.zeros((3, 2)))
+
     def test_differentiability_end_to_end(self):
         rng = np.random.default_rng(11)
         d = 3
@@ -322,8 +342,10 @@ class TestClosedFormEnsemble:
                 assert got.dtype == dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_lookup_equals_forward_only_pair(self, dtype, normalize):
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_lookup_agrees_with_forward_only_pair(self, dtype, atol, normalize):
+        """inr_lookup blends then decodes, the pair decodes every cell then
+        blends: the same closed form in two summation orders."""
         rng = np.random.default_rng(16)
         P, d, n = 5, 6, 300
         fm = Tensor(rng.normal(size=(n, P, P, d)).astype(dtype))
@@ -332,7 +354,9 @@ class TestClosedFormEnsemble:
         queries = rng.uniform(-1, 1, size=(n, 2))
         assert ensemble_weights(queries, P).clamped.sum() > n // 5
         want = inr_query_batch(params, unfold3x3(fm), queries, normalize=normalize).values
-        assert np.array_equal(inr_lookup(params, fm, queries, normalize=normalize).values, want)
+        got = inr_lookup(params, fm, queries, normalize=normalize).values
+        assert got.dtype == want.dtype == dtype
+        assert np.max(np.abs(got - want)) < atol
 
     def test_every_decoder_weight_row_gets_a_gradient(self):
         rng = np.random.default_rng(14)
@@ -366,8 +390,7 @@ class TestForwardOnlyPair:
             inr_query_batch(self.params, unfolded, self.queries)
 
     def test_pair_works_outside_enable_grad_and_on_constants(self):
-        want = inr_lookup(self.params, self.fm, self.queries).values
-        assert np.array_equal(inr_query_batch(self.params, unfold3x3(self.fm), self.queries).values, want)
+        want = inr_query_batch(self.params, unfold3x3(self.fm), self.queries).values
         constants = FThetaParams(Tensor(self.params.weight.values), Tensor(self.params.bias.values))
         with enable_grad():
             out = inr_query_batch(constants, unfold3x3(Tensor(self.fm.values)), self.queries)
