@@ -29,13 +29,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import FormatError, _replacing, require_keys
 from .geo import GeoFootprint, GeoPoint, OutOfFootprintError, inside, local_lonlat, local_uv
+from .parallel import for_each_block
 
 __all__ = [
     "DataConfig",
@@ -325,9 +325,8 @@ def generate_records(config: DataConfig) -> list:
     world = build_world(config)
     rendering = _sv_rendering(world)
     table = np.empty(config.count, _record_dtype(config))
-    starts = range(0, config.count, _BLOCK)
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(starts))) as pool:
-        list(pool.map(lambda start: _fill_block(world, rendering, start, table[start : start + _BLOCK]), starts))
+    for_each_block(lambda start: _fill_block(world, rendering, start, table[start : start + _BLOCK]),
+                   range(0, config.count, _BLOCK))
     return _records(table)
 
 

@@ -163,8 +163,9 @@ class HeatmapGrid:
 def heatmap_loc(sv_emb: np.ndarray, loc_encoder, center: GeoPoint, resolution: float, rows: int, cols: int) -> HeatmapGrid:
     """Cosine similarity between one SV embedding and location embeddings on
     a mesh centered at `center`."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < math.inf or rows < 1 or cols < 1:
+        raise ValueError(f"resolution must be positive and finite and rows, cols at least 1, "
+                         f"not {resolution!r}, {rows!r}, {cols!r}")
     origin = GeoPoint(center.lon - (cols - 1) / 2 * resolution, center.lat + (rows - 1) / 2 * resolution)
     lons = origin.lon + np.arange(cols) * resolution
     lats = origin.lat - np.arange(rows) * resolution
@@ -184,8 +185,8 @@ def heatmap_inr(sv_emb: np.ndarray, ftheta, unfolded, footprint: GeoFootprint, r
     decodes each of its P^2 cells once and then blends per point, so the
     decode work does not grow with the mesh.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, not {resolution!r}")
     hull = interpolation_hull(unfolded.shape[1])
     lon_c, lat_c = footprint_center(*footprint.bounds)
     cols = max(1, int(hull * (footprint.lon_max - footprint.lon_min) / resolution)) + 1

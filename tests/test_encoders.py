@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from gair.encoders import (
     LocEncoderConfig,
     rff_features,
 )
+from gair.evalkit import heatmap_loc
+from gair.geo import GeoPoint, equal_earth_rescaled_batch
 from gair.tensor import grad_check
 
 SMALL = dict(channels=1, image_size=8, patch_size=4, dim=8, depth=1, heads=2, ff_width=8)
@@ -155,6 +161,73 @@ class TestRFF:
     def test_single_point_accepted(self):
         out = rff_features(np.ones((2, 2)), np.array([0.1, 0.2]))
         assert out.shape == (1, 4)
+
+    @staticmethod
+    def reference(B, lonlat, dtype):
+        """The float64 formula over the whole batch, rounded once to dtype."""
+        q = equal_earth_rescaled_batch(np.atleast_2d(lonlat))
+        phase = 2.0 * math.pi * q @ B.T
+        return np.concatenate([np.cos(phase), np.sin(phase)], axis=1).astype(dtype)
+
+    @staticmethod
+    def points(n, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.stack([rng.uniform(-3.2, 3.2, n), rng.uniform(-1.5, 1.5, n)], axis=1)
+
+    # 257 and 513 end in a one-row remainder after whole blocks of 256.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 10_000])
+    def test_equals_reference_bit_for_bit(self, n, dtype):
+        B = LocationEncoder(LocEncoderConfig(), np.random.default_rng(3)).B
+        lonlat = self.points(n)
+        out = rff_features(B, lonlat, dtype)
+        expected = self.reference(B, lonlat, dtype)
+        assert out.dtype == dtype and out.shape == expected.shape == (n, 512)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_independent_of_usable_cores(self, monkeypatch, cpus):
+        # Four blocks; three cores give three threads, interleaved as often
+        # as the interpreter allows.
+        B = LocationEncoder(LocEncoderConfig(), np.random.default_rng(4)).B
+        lonlat = self.points(4 * 256 - 5, seed=1)
+        expected = rff_features(B, lonlat, np.float32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = rff_features(B, lonlat, np.float32)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_encode_leaves_no_thread_running(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        loc = LocationEncoder(LocEncoderConfig(), np.random.default_rng(5))
+        before = threading.active_count()
+        loc.encode(self.points(10_000))
+        assert threading.active_count() == before
+
+    def test_heatmap_loc_digest(self):
+        # sha256 of the float32 values, recorded before the features were
+        # computed in blocks on threads.
+        loc = LocationEncoder(LocEncoderConfig(), np.random.default_rng(11))
+        sv = loc.encode(np.array([[0.3002, 0.5997]])).values[0]
+        grid = heatmap_loc(sv, loc, GeoPoint(0.3, 0.6), 1e-5, 100, 100)
+        assert grid.values.dtype == np.float32 and grid.argmax_cell() == (79, 70)
+        assert hashlib.sha256(grid.values.tobytes()).hexdigest() == (
+            "73ffb26850c35d79d60acd9b5e10436bb5b29e056cd19b5ad6d51bcde922d6a3")
+
+    @pytest.mark.parametrize("lonlat", [[[0.1, 0.5, 99.0]], [0.1, 0.5, 0.2], [[[0.1, 0.5]]], [], 0.1],
+                             ids=["three-columns", "three-values", "3-d", "empty", "scalar"])
+    def test_malformed_shape_raises(self, lonlat):
+        with pytest.raises(ValueError, match="shaped"):
+            rff_features(np.ones((2, 2)), lonlat)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_location_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            rff_features(np.ones((2, 2)), [[0.1, 0.5], [0.2, bad]])
 
 
 class TestLocationEncoder:

@@ -238,6 +238,23 @@ class TestHeatmaps:
         with pytest.raises(ValueError):
             heatmap_loc(np.ones(1), E(), GeoPoint(0, 0), 0.0, 3, 3)
 
+    @pytest.mark.parametrize("resolution, rows, cols", [(math.nan, 3, 3), (math.inf, 3, 3), (0.001, -2, 3),
+                                                        (0.001, 3, 0)])
+    def test_heatmap_loc_bad_mesh(self, resolution, rows, cols):
+        class E:
+            def encode(self, pts):
+                return Tensor(np.ones((len(pts), 1)))
+
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            heatmap_loc(np.ones(1), E(), GeoPoint(0, 0), resolution, rows, cols)
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.001, math.nan, math.inf])
+    def test_heatmap_inr_bad_resolution(self, resolution):
+        um = unfold3x3(Tensor(np.ones((1, 4, 4, 2))))
+        fp = GeoFootprint(0.0, 0.001, 0.0, 0.001)
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            heatmap_inr(np.ones(2), FThetaParams.passthrough(2), um, fp, resolution)
+
     def test_heatmap_inr_constant_map(self):
         d = 4
         c = np.array([1.0, 0.0, 0.0, 0.0])
