@@ -5,9 +5,12 @@ Exit codes: 0 success, 1 check failure, 2 usage or an output that cannot
 be written, 3 data/format error (including an input that cannot be read),
 4 numeric divergence. Logs go to stderr; machine-readable output to files
 or stdout. A JSON config file may supply any flag's value; explicit flags
-win. To cap numpy's BLAS worker threads, set OPENBLAS_NUM_THREADS (or
-OMP_NUM_THREADS, depending on the BLAS build) in the environment before
-starting the command; BLAS reads it once, when numpy loads.
+win. BLAS runs one thread outside graph work (`gair.parallel`); training
+steps and probe fits run it at the count it loaded with. To cap that
+count, set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, depending on the BLAS
+build) in the environment before starting the command; BLAS reads it
+once, when numpy loads. Forward-only work spreads blocks over one thread
+per usable core, which `taskset` caps.
 """
 
 from __future__ import annotations

@@ -4,6 +4,13 @@ mean pooling for street-view images, and a Fourier-feature location MLP.
 
 All learnable state lives in flat name->Tensor dictionaries so the
 optimizer and checkpointing can treat every model uniformly.
+
+Inside `enable_grad()` each encoder records one graph over the whole batch.
+Outside it, when BLAS runs one thread there (`parallel.blas_pinned()`), the
+image backbone runs on blocks of images and the location encoder on blocks
+of rows, one thread per usable core; the values are those of the recorded
+pass, bit for bit. Where BLAS keeps its threads, the whole batch runs in
+one pass, as BLAS's threads would compete with the blocks' for the cores.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import equal_earth_rescaled_batch
-from .parallel import for_each_block
-from .tensor import Tensor, attention, l2_normalize_rows, layer_norm, matmul
+from .parallel import blas_pinned, for_each_block, row_blocks, usable_cores
+from .tensor import Tensor, attention, grad_enabled, l2_normalize_rows, layer_norm, matmul
 
 __all__ = [
     "EncoderConfig",
@@ -124,10 +131,21 @@ class ImageEncoder:
         """Token features (N, tokens, dim) after the attention blocks. Each
         block is pre-norm multi-head self-attention, whose head split and
         merge happen inside the one `attention` node, then a GELU MLP, each
-        with a residual add."""
+        with a residual add.
+
+        Outside `enable_grad()`, with BLAS pinned, the images run in blocks
+        of ceil(N / usable cores) on one thread per core (`_forward_blocks`);
+        the values equal those of the recorded pass bit for bit."""
+        patches = self.patchify(images).astype(self.dtype)
+        if grad_enabled() or not blas_pinned():
+            return self._blocks(patches)
+        c, n = self.config, len(patches)
+        return _forward_blocks(self._blocks, patches, -(-n // usable_cores()),
+                               np.empty((n, c.tokens, c.dim), self.dtype), self.params)
+
+    def _blocks(self, patches: np.ndarray) -> Tensor:
         c = self.config
-        patches = Tensor(self.patchify(images).astype(self.dtype))
-        x = matmul(patches, self._p("patch.weight")) + self._p("patch.bias")
+        x = matmul(Tensor(patches), self._p("patch.weight")) + self._p("patch.bias")
         x = x + self._p("pos")
         for i in range(c.depth):
             h = layer_norm(x, self._p(f"block{i}.ln1.gamma"), self._p(f"block{i}.ln1.beta"))
@@ -154,9 +172,48 @@ class ImageEncoder:
         return l2_normalize_rows(projected)
 
 
-# Rows per block of `rff_features`. 256 rows keep a block's float64 phase
-# at 512 KB for 256 frequencies; 1024-row blocks ran slower on two threads.
+def _forward_blocks(forward, x: np.ndarray, size: int, out: np.ndarray, params: dict) -> Tensor:
+    """`forward(x)` outside `enable_grad()`, on `parallel.row_blocks`
+    of `size` rows of x, on one thread per usable core, each block written
+    into its rows of `out`. Every row of the forward pass depends on its own
+    input row alone, and a block takes the same GEMM path as the whole batch,
+    so `out` equals the whole-batch values bit for bit. The result is marked
+    as computed from `params`, so `enable_grad()` refuses it as an input.
+    `forward` calls nothing that `perfbench/spans.py` wraps, as its span
+    recorder assumes one thread."""
+
+    def fill(rows):
+        out[rows] = forward(x[rows]).values
+
+    for_each_block(fill, row_blocks(len(x), size))
+    return Tensor._make(out, tuple(params.values()), None)
+
+
+# Rows per block of `rff_features` and of the forward-only location encoder.
+# 256 rows keep a block's float64 phase at 512 KB for 256 frequencies;
+# 1024-row blocks ran slower on two threads.
 _RFF_BLOCK = 256
+
+
+def _projected(lonlat) -> np.ndarray:
+    """2 pi times the rescaled Equal-Earth coordinates of (n, 2) or (2,)
+    finite radians, else ValueError."""
+    lonlat = np.asarray(lonlat)
+    if not (lonlat.shape == (2,) or (lonlat.ndim == 2 and lonlat.shape[1] == 2)):
+        raise ValueError(f"lonlat must be shaped (n, 2) or (2,), not {lonlat.shape}")
+    if not np.isfinite(lonlat).all():
+        raise ValueError("lonlat holds a non-finite value")
+    return 2.0 * math.pi * equal_earth_rescaled_batch(np.atleast_2d(lonlat))
+
+
+def _fourier(B: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """[cos(q B^T), sin(q B^T)] of projected rows q, from a float64 phase,
+    written into `out`, which rounds each value once to its dtype."""
+    m = B.shape[0]
+    phase = q @ B.T
+    np.cos(phase, out=out[:, :m])
+    np.sin(phase, out=out[:, m:])
+    return out
 
 
 def rff_features(B: np.ndarray, lonlat, dtype=np.float64) -> np.ndarray:
@@ -168,32 +225,16 @@ def rff_features(B: np.ndarray, lonlat, dtype=np.float64) -> np.ndarray:
     [-1, 1]^2, then encoded as [cos(2 pi B q); sin(2 pi B q)] -> (n, 2m) in
     `dtype`.
 
-    One (n, 2m) output is filled in blocks of `_RFF_BLOCK` rows. Each block
-    computes its own float64 phase and writes its cos and sin straight into
-    the output, which rounds each value once to `dtype`. So the output
-    equals `np.concatenate([cos, sin], 1).astype(dtype)` of the float64
-    formula bit for bit. The blocks run on one thread per usable core
-    (`parallel.for_each_block`); a single block runs inline.
+    One (n, 2m) output is filled in `parallel.row_blocks` of `_RFF_BLOCK`
+    rows. Each block computes its own float64 phase and writes its cos and
+    sin straight into the output, which rounds each value once to `dtype`.
+    So the output equals `np.concatenate([cos, sin], 1).astype(dtype)` of
+    the float64 formula bit for bit. The blocks run on one thread per usable
+    core (`parallel.for_each_block`); a single block runs inline.
     """
-    lonlat = np.asarray(lonlat)
-    if not (lonlat.shape == (2,) or (lonlat.ndim == 2 and lonlat.shape[1] == 2)):
-        raise ValueError(f"lonlat must be shaped (n, 2) or (2,), not {lonlat.shape}")
-    if not np.isfinite(lonlat).all():
-        raise ValueError("lonlat holds a non-finite value")
-    q = 2.0 * math.pi * equal_earth_rescaled_batch(np.atleast_2d(lonlat))
-    n, m = len(q), B.shape[0]
-    out = np.empty((n, 2 * m), dtype)
-
-    # A one-row product takes BLAS's matrix-vector path, which rounds
-    # differently from the matrix-matrix path of a larger batch, so a lone
-    # last row joins the block before it.
-    def fill(start):
-        rows = slice(start, start + _RFF_BLOCK if start + _RFF_BLOCK < n - 1 else n)
-        phase = q[rows] @ B.T
-        np.cos(phase, out=out[rows, :m])
-        np.sin(phase, out=out[rows, m:])
-
-    for_each_block(fill, range(0, max(n - 1, 1), _RFF_BLOCK))
+    q = _projected(lonlat)
+    out = np.empty((len(q), 2 * B.shape[0]), dtype)
+    for_each_block(lambda rows: _fourier(B, q[rows], out[rows]), row_blocks(len(q), _RFF_BLOCK))
     return out
 
 
@@ -228,8 +269,22 @@ class LocationEncoder:
         return self.params[f"{self.prefix}.{name}"]
 
     def encode(self, lonlat: np.ndarray) -> Tensor:
-        """Unit-norm embeddings (n, dim) for lon/lat pairs in radians."""
-        feats = Tensor(rff_features(self.B, lonlat, self.dtype))
+        """Unit-norm embeddings (n, dim) for lon/lat pairs in radians.
+
+        Outside `enable_grad()`, with BLAS pinned, the whole encoder,
+        features included, runs per block of `_RFF_BLOCK` rows on one thread
+        per usable core (`_forward_blocks`); the values equal those of the
+        recorded pass bit for bit."""
+        if grad_enabled() or not blas_pinned():
+            return self._mlp(Tensor(rff_features(self.B, lonlat, self.dtype)))
+        q = _projected(lonlat)
+        return _forward_blocks(self._encode_rows, q, _RFF_BLOCK, np.empty((len(q), self.config.dim), self.dtype),
+                               self.params)
+
+    def _encode_rows(self, q: np.ndarray) -> Tensor:
+        return self._mlp(Tensor(_fourier(self.B, q, np.empty((len(q), 2 * self.config.freqs), self.dtype))))
+
+    def _mlp(self, feats: Tensor) -> Tensor:
         h = (matmul(feats, self._p("mlp.w1")) + self._p("mlp.b1")).gelu()
         out = matmul(h, self._p("mlp.w2")) + self._p("mlp.b2")
         return l2_normalize_rows(out)

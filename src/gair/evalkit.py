@@ -32,11 +32,19 @@ __all__ = [
 
 def retrieval_metrics(queries: np.ndarray, candidates: np.ndarray, truth: np.ndarray, ks=(1, 5, 10)) -> dict:
     """Rank candidates per query by cosine similarity (descending, ties to
-    the lower index) and report recall@k and the median true rank."""
+    the lower index) and report recall@k and the median true rank.
+
+    `truth` holds one integer candidate index in [0, len(candidates)) per
+    query, else ValueError: a negative index would wrap to the end and
+    break the tie rule."""
     if candidates.shape[0] == 0:
         raise ValueError("empty candidate set")
-    sims = queries @ candidates.T
     truth = np.asarray(truth)
+    if not np.issubdtype(truth.dtype, np.integer) or truth.shape != (len(queries),):
+        raise ValueError(f"truth must be {len(queries)} integer indices, not {truth.dtype} of shape {truth.shape}")
+    if truth.size and not (0 <= truth.min() and truth.max() < len(candidates)):
+        raise ValueError(f"truth indices must lie in [0, {len(candidates)})")
+    sims = queries @ candidates.T
     true_sims = sims[np.arange(len(queries)), truth][:, None]
     # 1 + the candidates ranked above the true one: more similar, or equally
     # similar at a lower index (the order a stable descending sort gives).

@@ -17,6 +17,12 @@ require grad, whose gradient would otherwise stop there, and a
 forward-only op (a `_make` node with no backward, such as
 `gair.inr.unfold3x3`) rejects a parent that requires grad there.
 
+Graph work has BLAS's threads: inside `enable_grad()` and during
+`backward`, BLAS runs the thread count it loaded with; everywhere else,
+where `gair.parallel` found OpenBLAS, it runs one, and forward-only
+encoders spread blocks over the cores instead. BLAS threads do not change
+a byte of training.
+
 Where the math has a closed form it is one node: `layer_norm`,
 multi-head `attention` (head split, scores, softmax, mix and head merge
 over (N, T, D) projections), `Tensor.gelu` and `cross_entropy` (every
@@ -33,14 +39,14 @@ vectorized A&S 7.1.26 approximation (`_erf_f32`) that keeps GELU within
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
+
+from .parallel import graph_blas_threads
 
 __all__ = [
     "Tensor",
@@ -49,6 +55,7 @@ __all__ = [
     "NumericError",
     "ContractError",
     "enable_grad",
+    "grad_enabled",
     "concat",
     "matmul",
     "cross_entropy",
@@ -72,50 +79,28 @@ class ContractError(RuntimeError):
     pass
 
 
-def _keep_freed_heap():
-    """Stop glibc from handing freed arrays back to the OS after each call.
-
-    Inference on a large mesh allocates and frees tens of MB of arrays per
-    call: `heatmap_loc` on 10^4 points and `heatmap_inr` on 1260 queries
-    (and each `train_step` frees its graph, about 90 MB at batch 64). By
-    default glibc maps a block above a dynamic threshold of its own and
-    returns a free heap top above twice that threshold to the OS, so the
-    next call page-faults the same memory in again. Over 60 such heatmap
-    pairs in one process (2-core x86 box, numpy 2.4.6), a pair without this
-    call took 4800-5300 page faults instead of 290, about 680 of them in
-    `heatmap_inr`, which took none with it and ran in 2.8 ms against
-    3.5-4.9 ms without, counting the map's encoding. With fixed thresholds
-    the freed memory is reused by the next call. MALLOC_* variables set by
-    the user take precedence; C libraries without mallopt are left alone.
-    """
-    if any(k.startswith("MALLOC_") for k in os.environ):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, 32 << 20)  # glibc's own ceiling for the dynamic threshold
-    mallopt(m_trim_threshold, 128 << 20)
-
-
-_keep_freed_heap()
-
 _grad_enabled = False
 
 
 @contextmanager
 def enable_grad():
-    """Record the autodiff graph for the ops run inside the block.
+    """Record the autodiff graph for the ops run inside the block, with BLAS
+    at its load-time thread count (`parallel.graph_blas_threads`).
 
     Nests, and restores the previous state on exit, also on an exception.
     """
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, True
     try:
-        yield
+        with graph_blas_threads():
+            yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """True inside `enable_grad()`."""
+    return _grad_enabled
 
 
 # Plain Python floats: under NEP 50 a numpy float64 scalar would promote
@@ -557,7 +542,8 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 def backward(root: Tensor):
     """Reverse-accumulate gradients from a scalar root through the graph
-    recorded inside `enable_grad()`."""
+    recorded inside `enable_grad()`. BLAS runs at its load-time thread count
+    here too (`parallel.graph_blas_threads`); no graph is recorded."""
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
@@ -579,9 +565,10 @@ def backward(root: Tensor):
             if id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.ones_like(root.values)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    with graph_blas_threads():
+        for node in reversed(order):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
 
 
 @dataclass

@@ -255,6 +255,32 @@ class TestPersistence:
         assert np.all(np.diff(starts) == record_size)
         assert (tmp_path / "ds" / "data.blob").stat().st_size == len(BLOB_MAGIC) + len(recs) * record_size
 
+    @pytest.mark.parametrize("edit", [
+        lambda r: dataclasses.replace(r, lon=r.lon + 1e-9),
+        lambda r: dataclasses.replace(r, label_class=1 - r.label_class),
+        lambda r: dataclasses.replace(r, rs=r.rs + 1.0),
+        lambda r: dataclasses.replace(r, sv=-r.sv),
+    ], ids=["lon", "label_class", "rs", "sv"])
+    def test_replaced_record_is_written_with_its_edit(self, tmp_path, edit):
+        cfg = small_cfg()
+        recs = generate_records(cfg)
+        unedited = recs[2].rs.base[2].tobytes()
+        recs[3] = edit(recs[3])
+        write_dataset(recs, tmp_path, cfg)
+        table = np.fromfile(tmp_path / "data.blob", dtype=_record_dtype(cfg), offset=len(BLOB_MAGIC))
+        r = recs[3]
+        assert table[3]["rs"].tobytes() == r.rs.tobytes() and table[3]["sv"].tobytes() == r.sv.tobytes()
+        assert (table[3]["lon"], table[3]["lat"], table[3]["label_class"]) == (r.lon, r.lat, r.label_class)
+        assert table[2].tobytes() == unedited
+
+    def test_scalar_assigned_in_place_is_written(self, tmp_path):
+        cfg = small_cfg()
+        recs = generate_records(cfg)
+        recs[5].label_reg = 0.25
+        write_dataset(recs, tmp_path, cfg)
+        table = np.fromfile(tmp_path / "data.blob", dtype=_record_dtype(cfg), offset=len(BLOB_MAGIC))
+        assert table[5]["label_reg"] == 0.25
+
     def test_bad_magic_rejected(self, tmp_path):
         cfg = small_cfg()
         manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)

@@ -1,12 +1,16 @@
 import hashlib
+import importlib.util
 import math
 import os
 import sys
 import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gair import encoders, evalkit, parallel
 from gair.encoders import (
     EncoderConfig,
     ImageEncoder,
@@ -16,7 +20,7 @@ from gair.encoders import (
 )
 from gair.evalkit import heatmap_loc
 from gair.geo import GeoPoint, equal_earth_rescaled_batch
-from gair.tensor import grad_check
+from gair.tensor import ContractError, enable_grad, grad_check, matmul
 
 SMALL = dict(channels=1, image_size=8, patch_size=4, dim=8, depth=1, heads=2, ff_width=8)
 
@@ -274,3 +278,117 @@ class TestLocationEncoder:
         cfg = LocEncoderConfig(freqs=16, sigma=1000.0, hidden=16, dim=8)
         enc = LocationEncoder(cfg, np.random.default_rng(6))
         assert np.allclose(enc.B, 1000.0 * np.random.default_rng(6).normal(0.0, 1.0, (cfg.freqs, 2)), rtol=1e-12)
+
+
+@contextmanager
+def usable_cores(monkeypatch, cpus):
+    """`cpus` usable cores for `parallel`, with threads interleaved as often
+    as the interpreter allows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+        monkeypatch.undo()
+
+
+class TestForwardBlocks:
+    """Outside enable_grad() the image backbone runs on blocks of images and
+    the location encoder on blocks of rows, one thread per usable core; the
+    values equal those of the recorded pass bit for bit."""
+
+    @staticmethod
+    def encoders():
+        # The acceptance model's RS (64 tokens) and SV (16 tokens) encoders.
+        rng = np.random.default_rng(21)
+        rs = ImageEncoder(EncoderConfig(), rng, prefix="rs")
+        sv = ImageEncoder(EncoderConfig(channels=1, image_size=16), rng, prefix="sv")
+        return rs, sv
+
+    @staticmethod
+    def images(enc, n, seed=0):
+        c = enc.config
+        return np.random.default_rng(seed).normal(size=(n, c.channels, c.image_size, c.image_size)).astype(np.float32)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65])
+    def test_image_encoders_equal_recorded_pass(self, monkeypatch, n, cpus):
+        rs, sv = self.encoders()
+        rs_images, sv_images = self.images(rs, n), self.images(sv, n, seed=1)
+        with enable_grad():
+            expected = rs.encode_feature_maps(rs_images).values, sv.encode_pooled(sv_images).values
+        with usable_cores(monkeypatch, cpus):
+            got = rs.encode_feature_maps(rs_images).values, sv.encode_pooled(sv_images).values
+        for g, e in zip(got, expected):
+            assert g.dtype == np.float32 and g.shape == e.shape and g.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, 10_000])
+    def test_location_encoder_equals_recorded_pass(self, monkeypatch, n, cpus):
+        loc = LocationEncoder(LocEncoderConfig(), np.random.default_rng(22))
+        lonlat = TestRFF.points(n, seed=2)
+        with enable_grad():
+            expected = loc.encode(lonlat).values
+        with usable_cores(monkeypatch, cpus):
+            got = loc.encode(lonlat).values
+        assert got.dtype == np.float32 and got.shape == (n, 64) and got.tobytes() == expected.tobytes()
+
+    def test_no_thread_left_running(self, monkeypatch):
+        rs, _ = self.encoders()
+        loc = LocationEncoder(LocEncoderConfig(), np.random.default_rng(23))
+        before = threading.active_count()
+        with usable_cores(monkeypatch, 3):
+            rs.encode_feature_maps(self.images(rs, 9))
+            loc.encode(TestRFF.points(1000))
+        assert threading.active_count() == before
+
+    def test_blocked_results_are_refused_inside_enable_grad(self, monkeypatch):
+        rs, _ = self.encoders()
+        loc = LocationEncoder(LocEncoderConfig(), np.random.default_rng(24))
+        with usable_cores(monkeypatch, 3):
+            tokens = rs.backbone(self.images(rs, 6))
+            emb = loc.encode(TestRFF.points(600))
+        for out in (tokens, emb):
+            assert out._untracked and out._parents == () and not out.requires_grad
+            with enable_grad(), pytest.raises(ContractError, match="outside enable_grad"):
+                matmul(out, rs.params["rs.proj.weight"])
+
+    def test_one_pass_where_blas_keeps_its_threads(self, monkeypatch):
+        # Without a pinned BLAS, blocks would compete with BLAS's own threads.
+        rs, sv = self.encoders()
+        loc = LocationEncoder(LocEncoderConfig(), np.random.default_rng(26))
+        rs_images, sv_images, lonlat = self.images(rs, 9), self.images(sv, 9, seed=1), TestRFF.points(600)
+        with enable_grad():
+            expected = [rs.encode_feature_maps(rs_images), sv.encode_pooled(sv_images), loc.encode(lonlat)]
+        blocked = []
+        monkeypatch.setattr(parallel, "_BLAS", [])
+        monkeypatch.setattr(encoders, "_forward_blocks", lambda *args: blocked.append(args))
+        with usable_cores(monkeypatch, 3):
+            got = [rs.encode_feature_maps(rs_images), sv.encode_pooled(sv_images), loc.encode(lonlat)]
+        assert blocked == []
+        for g, e in zip(got, expected):
+            assert g.values.tobytes() == e.values.tobytes() and not g.requires_grad
+
+    def test_block_fills_call_no_traced_function(self, monkeypatch):
+        # perfbench's span recorder keeps one span stack, so every call it
+        # wraps must come from the calling thread.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        recorder = spans.SpanRecorder()
+        threads = []
+        real_span = recorder.span
+        recorder.span = lambda name: threads.append((name, threading.current_thread())) or real_span(name)
+        rs, sv = self.encoders()
+        loc = LocationEncoder(LocEncoderConfig(), np.random.default_rng(25))
+        with usable_cores(monkeypatch, 3), recorder.recording(0):
+            rs.encode_feature_maps(self.images(rs, 9))
+            sv.encode_pooled(self.images(sv, 9))
+            evalkit.heatmap_loc(np.ones(64, np.float32) / 8, loc, GeoPoint(0.3, 0.6), 1e-4, 30, 30)
+        names = [name for name, _ in threads]
+        assert {"encoders.rs_fwd", "encoders.sv_fwd", "encoders.loc_fwd", "evalkit.heatmap_loc"} <= set(names)
+        assert all(thread is threading.main_thread() for _, thread in threads)
+        assert recorder.nesting_errors() == []

@@ -87,6 +87,31 @@ class TestRetrieval:
         with pytest.raises(ValueError):
             retrieval_metrics(np.eye(2), np.zeros((0, 2)), np.array([0, 1]))
 
+    # Three identical unit rows tie everywhere, so only the tie rule ranks
+    # them: truth [0, 1, 2] gives recall@1 1/3. A negative index used to
+    # wrap, and [-3, -2, -1] gave 1.0.
+    @pytest.mark.parametrize("truth", [[-3, -2, -1], [0, 1, -1]], ids=["all-negative", "one-negative"])
+    def test_negative_truth_rejected(self, truth):
+        q = np.tile([[1.0, 0.0]], (3, 1))
+        assert retrieval_metrics(q, q, np.arange(3), ks=(1,))["recall@1"] == pytest.approx(1 / 3)
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            retrieval_metrics(q, q, np.array(truth), ks=(1,))
+
+    def test_truth_past_the_candidates_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            retrieval_metrics(np.eye(2), np.eye(2), np.array([0, 2]))
+
+    @pytest.mark.parametrize("truth", [np.array([0.0, 1.0]), np.array([True, False])], ids=["float", "bool"])
+    def test_non_integer_truth_rejected(self, truth):
+        with pytest.raises(ValueError, match="integer"):
+            retrieval_metrics(np.eye(2), np.eye(2), truth)
+
+    @pytest.mark.parametrize("truth", [np.array([0]), np.array([0, 1, 1]), np.array([[0, 1]]), np.array(0)],
+                             ids=["short", "long", "2-d", "scalar"])
+    def test_truth_of_other_shape_rejected(self, truth):
+        with pytest.raises(ValueError, match="integer indices"):
+            retrieval_metrics(np.eye(2), np.eye(2), truth)
+
 
 class TestFitProbe:
     def separable_data(self, n=400, d=8, seed=0):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -417,6 +418,38 @@ class TestTrainLoop:
         b_before = model.loc.B.copy()
         train(model, tiny_records(), tiny_train_config())
         assert np.array_equal(model.loc.B, b_before)
+
+
+class TestTrainingBytes:
+    """sha256 over every parameter, its AdamW m and v (sorted by name), then
+    the bank, after a short run; recorded before forward-only passes ran in
+    blocks on threads and BLAS kept its threads for graph work. Thread
+    counts, blocks and forward-only paths must not move a training byte."""
+
+    @staticmethod
+    def digest(model, optimizer, bank):
+        h = hashlib.sha256()
+        params = model.parameters()
+        for name in sorted(params):
+            for arr in (params[name].values, optimizer.m[name], optimizer.v[name]):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(bank.snapshot().tobytes())
+        return h.hexdigest()
+
+    def test_tiny_run(self):
+        model, optimizer, bank, log = train(tiny_model(), tiny_records(), tiny_train_config())
+        assert len(log) == 10
+        assert self.digest(model, optimizer, bank) == "51d554a269c322a904efe2f8fa3aee95186aa08d14e17cf7f19d325c79ad8da0"
+
+    def test_twenty_acceptance_sized_steps(self):
+        # The acceptance model and batch size; its GEMMs are large enough
+        # for BLAS to thread.
+        cfg = DataConfig(count=640, seed=7)
+        model = build_model(asdict(cfg), seed=7)
+        config = TrainConfig(epochs=2, seed=7, loss=LossConfig(bank_capacity=256))
+        model, optimizer, bank, log = train(model, generate_records(cfg), config)
+        assert len(log) == 20 and log[-1]["total"] == 9.68891429901123
+        assert self.digest(model, optimizer, bank) == "9192eafcb6633874874a96994542734d7186b8c024d7f130b663e881a0f1acd8"
 
 
 class TestCheckpoint:
