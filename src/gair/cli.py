@@ -100,22 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="contrastive pretraining on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--warmup", type=float)
-    p.add_argument("--schedule", choices=["cosine", "constant"])
-    p.add_argument("--tau", type=float)
-    p.add_argument("--lambda", dest="lambda_secl", type=float)
-    p.add_argument("--bank-capacity", type=int)
-    p.add_argument("--rff-sigma", type=float)
-    p.add_argument("--rff-sigma-min", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--eval-every", type=int)
+    for dest, (flag, kind, _, _) in _PRETRAIN_OPTIONS.items():
+        p.add_argument(flag, dest=dest, **({"type": kind} if kind in (int, float) else {"choices": kind}))
     p.add_argument("--resume", help="checkpoint to resume from")
 
     e = sub.add_parser("evaluate", help="retrieval metrics and probes on a checkpoint")
@@ -164,29 +150,6 @@ def cmd_gen_data(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def _train_config(args, file_cfg) -> TrainConfig:
-    """Flag > config file > dataclass default. Raises TypeError or ValueError
-    for a value that does not convert or that the constructors reject."""
-    d = TrainConfig()
-    return TrainConfig(
-        batch_size=_integer(_merged(args, file_cfg, "batch_size", d.batch_size), "batch_size"),
-        epochs=_integer(_merged(args, file_cfg, "epochs", d.epochs), "epochs"),
-        base_lr=_real(_merged(args, file_cfg, "lr", d.base_lr), "lr"),
-        beta1=_real(_merged(args, file_cfg, "beta1", d.beta1), "beta1"),
-        beta2=_real(_merged(args, file_cfg, "beta2", d.beta2), "beta2"),
-        weight_decay=_real(_merged(args, file_cfg, "weight_decay", d.weight_decay), "weight_decay"),
-        warmup_fraction=_real(_merged(args, file_cfg, "warmup", d.warmup_fraction), "warmup"),
-        schedule=_merged(args, file_cfg, "schedule", d.schedule),
-        seed=_integer(_merged(args, file_cfg, "seed", d.seed), "seed"),
-        eval_every=_integer(_merged(args, file_cfg, "eval_every", d.eval_every), "eval_every"),
-        loss=LossConfig(
-            tau=_real(_merged(args, file_cfg, "tau", d.loss.tau), "tau"),
-            lambda_secl=_real(_merged(args, file_cfg, "lambda_secl", d.loss.lambda_secl), "lambda_secl"),
-            bank_capacity=_integer(_merged(args, file_cfg, "bank_capacity", d.loss.bank_capacity), "bank_capacity"),
-        ),
-    )
-
-
 def build_model(data_cfg: dict, seed: int, dim: int = EncoderConfig.dim, rff_sigma: float = LocEncoderConfig.sigma,
                 rff_sigma_min: float = LocEncoderConfig.sigma_min) -> Model:
     rs_cfg = EncoderConfig(channels=data_cfg["rs_channels"], image_size=data_cfg["rs_size"], dim=dim)
@@ -204,24 +167,48 @@ def _check_model_fits_data(model: Model, data_cfg: dict):
         raise FormatError(f"checkpoint model takes (rs_channels, rs_size, sv_size) = {takes}, but the dataset has {has}")
 
 
-# The pretrain options a resumed run takes from its checkpoint: argparse dest,
-# which is also the config-file key, to flag.
-_CHECKPOINT_FIXED = {
-    "seed": "--seed", "batch_size": "--batch-size", "epochs": "--epochs", "lr": "--lr", "beta1": "--beta1",
-    "beta2": "--beta2", "weight_decay": "--weight-decay", "warmup": "--warmup", "schedule": "--schedule",
-    "tau": "--tau", "lambda_secl": "--lambda", "bank_capacity": "--bank-capacity", "eval_every": "--eval-every",
-    "dim": "--dim", "rff_sigma": "--rff-sigma", "rff_sigma_min": "--rff-sigma-min",
+# The pretrain options: argparse dest, which is also the config-file key, to
+# flag, type (int, float or the choices) and the field the value sets, of
+# TrainConfig ("train"), its LossConfig ("loss") or build_model's keywords
+# ("model"). A resumed run takes every one of them from its checkpoint.
+_PRETRAIN_OPTIONS = {
+    "seed": ("--seed", int, "train", "seed"),
+    "batch_size": ("--batch-size", int, "train", "batch_size"),
+    "epochs": ("--epochs", int, "train", "epochs"),
+    "lr": ("--lr", float, "train", "base_lr"),
+    "beta1": ("--beta1", float, "train", "beta1"),
+    "beta2": ("--beta2", float, "train", "beta2"),
+    "weight_decay": ("--weight-decay", float, "train", "weight_decay"),
+    "warmup": ("--warmup", float, "train", "warmup_fraction"),
+    "schedule": ("--schedule", ("cosine", "constant"), "train", "schedule"),
+    "tau": ("--tau", float, "loss", "tau"),
+    "lambda_secl": ("--lambda", float, "loss", "lambda_secl"),
+    "bank_capacity": ("--bank-capacity", int, "loss", "bank_capacity"),
+    "rff_sigma": ("--rff-sigma", float, "model", "rff_sigma"),
+    "rff_sigma_min": ("--rff-sigma-min", float, "model", "rff_sigma_min"),
+    "dim": ("--dim", int, "model", "dim"),
+    "eval_every": ("--eval-every", int, "train", "eval_every"),
 }
+
+
+def _pretrain_fields(args, file_cfg, owner: str) -> dict:
+    """{field: value} for each pretrain option of `owner` given as a flag or
+    in the config file, the flag winning; the owner's default stands for the
+    rest. Raises TypeError for a value of the wrong type."""
+    convert = {int: _integer, float: _real}
+    return {field: convert.get(kind, lambda value, _: value)(_merged(args, file_cfg, dest, None), dest)
+            for dest, (_, kind, target, field) in _PRETRAIN_OPTIONS.items()
+            if target == owner and (getattr(args, dest) is not None or dest in file_cfg)}
 
 
 def cmd_pretrain(args, file_cfg) -> int:
     if args.resume:
-        given = [flag for key, flag in _CHECKPOINT_FIXED.items() if getattr(args, key) is not None]
+        given = [flag for dest, (flag, *_) in _PRETRAIN_OPTIONS.items() if getattr(args, dest) is not None]
         if given:
             return _usage_error(f"{', '.join(given)} cannot change a resumed run: --resume takes the training "
                                 "and model config from the checkpoint")
         # A config file may be shared with gen-data, so its values are only reported.
-        ignored = [key for key in _CHECKPOINT_FIXED if key in file_cfg]
+        ignored = [dest for dest in _PRETRAIN_OPTIONS if dest in file_cfg]
         if ignored:
             _log(f"note: --resume takes the training and model config from the checkpoint; "
                  f"ignoring config-file keys {', '.join(ignored)}")
@@ -233,16 +220,11 @@ def cmd_pretrain(args, file_cfg) -> int:
         _check_model_fits_data(model, manifest["config"])
     else:
         try:
-            cfg = _train_config(args, file_cfg)
+            cfg = TrainConfig(**_pretrain_fields(args, file_cfg, "train"),
+                              loss=LossConfig(**_pretrain_fields(args, file_cfg, "loss")))
+            model = build_model(manifest["config"], seed=cfg.seed, **_pretrain_fields(args, file_cfg, "model"))
         except (TypeError, ValueError, OverflowError) as exc:
-            return _usage_error(f"bad training config: {exc}")
-        try:
-            dim = _integer(_merged(args, file_cfg, "dim", EncoderConfig.dim), "dim")
-            sigma = _real(_merged(args, file_cfg, "rff_sigma", LocEncoderConfig.sigma), "rff_sigma")
-            sigma_min = _real(_merged(args, file_cfg, "rff_sigma_min", LocEncoderConfig.sigma_min), "rff_sigma_min")
-            model = build_model(manifest["config"], seed=cfg.seed, dim=dim, rff_sigma=sigma, rff_sigma_min=sigma_min)
-        except (TypeError, ValueError, OverflowError) as exc:
-            return _usage_error(f"bad model config: {exc}")
+            return _usage_error(f"bad pretrain config: {exc}")
         optimizer = bank = None
         start = 0
 

@@ -289,9 +289,9 @@ def _fill_block(world: WorldModel, rendering: tuple, start: int, rows: np.ndarra
 
 def _records(table: np.ndarray) -> list:
     """The TripleRecords of a `_record_dtype` table; each record's `rs` and
-    `sv` are views of its row. A footprint that GeoFootprint rejects, or a
-    location outside its footprint, raises FormatError at the row's offset
-    in data.blob."""
+    `sv` are views of its row. A footprint that GeoFootprint rejects, a
+    location outside its footprint, or a `label_class` other than 0 or 1
+    raises FormatError at the row's offset in data.blob."""
     columns = zip(table["rs"], table["sv"], table["lon"].tolist(), table["lat"].tolist(),
                   table["label_class"].tolist(), table["label_reg"].tolist(), table["footprint"].tolist())
     # The generator places every location inside its footprint; `inside` is
@@ -306,6 +306,8 @@ def _records(table: np.ndarray) -> list:
             raise FormatError(f"record {i}: {exc}", offset=offset) from None
         if not located[i]:
             raise FormatError(f"record {i}: location ({lon}, {lat}) lies outside its footprint", offset=offset)
+        if label_class not in (0, 1):
+            raise FormatError(f"record {i}: label_class {label_class} is not 0 or 1", offset=offset)
         records.append(TripleRecord(rs, sv, lon, lat, label_class, label_reg, footprint))
     return records
 

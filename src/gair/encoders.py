@@ -5,12 +5,14 @@ mean pooling for street-view images, and a Fourier-feature location MLP.
 All learnable state lives in flat name->Tensor dictionaries so the
 optimizer and checkpointing can treat every model uniformly.
 
-Inside `enable_grad()` each encoder records one graph over the whole batch.
-Outside it, when BLAS runs one thread there (`parallel.blas_pinned()`), the
-image backbone runs on blocks of images and the location encoder on blocks
-of rows, one thread per usable core; the values are those of the recorded
-pass, bit for bit. Where BLAS keeps its threads, the whole batch runs in
-one pass, as BLAS's threads would compete with the blocks' for the cores.
+Each encoder's forward pass goes through `_forward_blocks`, which alone
+chooses how it runs. Inside `enable_grad()` it records one graph over the
+whole batch. Outside it, when BLAS runs one thread there
+(`parallel.blas_pinned()`), the image backbone runs on blocks of images and
+the location encoder on blocks of rows, one thread per usable core; the
+values are those of the recorded pass, bit for bit. Where BLAS keeps its
+threads, the whole batch runs in one pass, as BLAS's threads would compete
+with the blocks' for the cores.
 """
 
 from __future__ import annotations
@@ -133,19 +135,13 @@ class ImageEncoder:
         merge happen inside the one `attention` node, then a GELU MLP, each
         with a residual add.
 
-        Outside `enable_grad()`, with BLAS pinned, the images run in blocks
-        of ceil(N / usable cores) on one thread per core (`_forward_blocks`);
-        the values equal those of the recorded pass bit for bit."""
-        patches = self.patchify(images).astype(self.dtype)
-        if grad_enabled() or not blas_pinned():
-            return self._blocks(patches)
-        c, n = self.config, len(patches)
-        return _forward_blocks(self._blocks, patches, -(-n // usable_cores()),
-                               np.empty((n, c.tokens, c.dim), self.dtype), self.params)
+        `_forward_blocks` runs it; where it fills blocks, each holds
+        ceil(N / usable cores) images."""
+        return _forward_blocks(self, self._blocks, images, -(-len(images) // usable_cores()), (self.config.tokens, self.config.dim))
 
-    def _blocks(self, patches: np.ndarray) -> Tensor:
+    def _blocks(self, images: np.ndarray) -> Tensor:
         c = self.config
-        x = matmul(Tensor(patches), self._p("patch.weight")) + self._p("patch.bias")
+        x = matmul(Tensor(self.patchify(images).astype(self.dtype)), self._p("patch.weight")) + self._p("patch.bias")
         x = x + self._p("pos")
         for i in range(c.depth):
             h = layer_norm(x, self._p(f"block{i}.ln1.gamma"), self._p(f"block{i}.ln1.beta"))
@@ -172,26 +168,34 @@ class ImageEncoder:
         return l2_normalize_rows(projected)
 
 
-def _forward_blocks(forward, x: np.ndarray, size: int, out: np.ndarray, params: dict) -> Tensor:
-    """`forward(x)` outside `enable_grad()`, on `parallel.row_blocks`
-    of `size` rows of x, on one thread per usable core, each block written
-    into its rows of `out`. Every row of the forward pass depends on its own
-    input row alone, and a block takes the same GEMM path as the whole batch,
-    so `out` equals the whole-batch values bit for bit. The result is marked
-    as computed from `params`, so `enable_grad()` refuses it as an input.
-    `forward` calls nothing that `perfbench/spans.py` wraps, as its span
-    recorder assumes one thread."""
+def _forward_blocks(encoder, forward, x: np.ndarray, size: int, row_shape: tuple) -> Tensor:
+    """`forward(x)` for `encoder`, where `forward` maps each row of x to one
+    output row of shape `row_shape` in the encoder's dtype.
+
+    Inside `enable_grad()` it records the graph, and where BLAS keeps its
+    threads (not `parallel.blas_pinned()`) it runs the whole batch in one
+    pass. Otherwise it runs on `parallel.row_blocks` of `size` rows of x, on
+    one thread per usable core, each block written into its rows of one
+    output. Every row of the forward pass depends on its own input row
+    alone, and a block takes the same GEMM path as the whole batch, so the
+    output equals the whole-batch values bit for bit. It is marked as
+    computed from the encoder's parameters, so `enable_grad()` refuses it
+    as an input. `forward` calls nothing that `perfbench/spans.py` wraps,
+    as its span recorder assumes one thread."""
+    if grad_enabled() or not blas_pinned():
+        return forward(x)
+    out = np.empty((len(x), *row_shape), encoder.dtype)
 
     def fill(rows):
         out[rows] = forward(x[rows]).values
 
     for_each_block(fill, row_blocks(len(x), size))
-    return Tensor._make(out, tuple(params.values()), None)
+    return Tensor._make(out, tuple(encoder.params.values()), None)
 
 
-# Rows per block of `rff_features` and of the forward-only location encoder.
-# 256 rows keep a block's float64 phase at 512 KB for 256 frequencies;
-# 1024-row blocks ran slower on two threads.
+# Rows per block of the forward-only location encoder. 256 rows keep a
+# block's float64 phase at 512 KB for 256 frequencies; 1024-row blocks ran
+# slower on two threads.
 _RFF_BLOCK = 256
 
 
@@ -206,11 +210,12 @@ def _projected(lonlat) -> np.ndarray:
     return 2.0 * math.pi * equal_earth_rescaled_batch(np.atleast_2d(lonlat))
 
 
-def _fourier(B: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _fourier(B: np.ndarray, q: np.ndarray, dtype) -> np.ndarray:
     """[cos(q B^T), sin(q B^T)] of projected rows q, from a float64 phase,
-    written into `out`, which rounds each value once to its dtype."""
+    written into one output of `dtype`, which rounds each value once."""
     m = B.shape[0]
     phase = q @ B.T
+    out = np.empty((len(q), 2 * m), dtype)
     np.cos(phase, out=out[:, :m])
     np.sin(phase, out=out[:, m:])
     return out
@@ -223,19 +228,11 @@ def rff_features(B: np.ndarray, lonlat, dtype=np.float64) -> np.ndarray:
     B: (m, 2) frozen Gaussian matrix; lonlat: (n, 2) or (2,) finite radians,
     else ValueError. Coordinates are Equal-Earth projected and rescaled to
     [-1, 1]^2, then encoded as [cos(2 pi B q); sin(2 pi B q)] -> (n, 2m) in
-    `dtype`.
-
-    One (n, 2m) output is filled in `parallel.row_blocks` of `_RFF_BLOCK`
-    rows. Each block computes its own float64 phase and writes its cos and
-    sin straight into the output, which rounds each value once to `dtype`.
-    So the output equals `np.concatenate([cos, sin], 1).astype(dtype)` of
-    the float64 formula bit for bit. The blocks run on one thread per usable
-    core (`parallel.for_each_block`); a single block runs inline.
+    `dtype`. The cos and sin of the float64 phase are written straight into
+    the output, so it equals `np.concatenate([cos, sin], 1).astype(dtype)`
+    of the float64 formula bit for bit.
     """
-    q = _projected(lonlat)
-    out = np.empty((len(q), 2 * B.shape[0]), dtype)
-    for_each_block(lambda rows: _fourier(B, q[rows], out[rows]), row_blocks(len(q), _RFF_BLOCK))
-    return out
+    return _fourier(B, _projected(lonlat), dtype)
 
 
 class LocationEncoder:
@@ -271,20 +268,11 @@ class LocationEncoder:
     def encode(self, lonlat: np.ndarray) -> Tensor:
         """Unit-norm embeddings (n, dim) for lon/lat pairs in radians.
 
-        Outside `enable_grad()`, with BLAS pinned, the whole encoder,
-        features included, runs per block of `_RFF_BLOCK` rows on one thread
-        per usable core (`_forward_blocks`); the values equal those of the
-        recorded pass bit for bit."""
-        if grad_enabled() or not blas_pinned():
-            return self._mlp(Tensor(rff_features(self.B, lonlat, self.dtype)))
-        q = _projected(lonlat)
-        return _forward_blocks(self._encode_rows, q, _RFF_BLOCK, np.empty((len(q), self.config.dim), self.dtype),
-                               self.params)
+        `_forward_blocks` runs the whole encoder, features included; where
+        it fills blocks, each holds `_RFF_BLOCK` rows."""
+        return _forward_blocks(self, self._encode_rows, _projected(lonlat), _RFF_BLOCK, (self.config.dim,))
 
     def _encode_rows(self, q: np.ndarray) -> Tensor:
-        return self._mlp(Tensor(_fourier(self.B, q, np.empty((len(q), 2 * self.config.freqs), self.dtype))))
-
-    def _mlp(self, feats: Tensor) -> Tensor:
+        feats = Tensor(_fourier(self.B, q, self.dtype))
         h = (matmul(feats, self._p("mlp.w1")) + self._p("mlp.b1")).gelu()
-        out = matmul(h, self._p("mlp.w2")) + self._p("mlp.b2")
-        return l2_normalize_rows(out)
+        return l2_normalize_rows(matmul(h, self._p("mlp.w2")) + self._p("mlp.b2"))

@@ -94,10 +94,15 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
     """Train a probe head on frozen embeddings; returns (head, held-out metric).
 
     Classification reports accuracy, regression reports RMSE, both on a
-    deterministic trailing split.
+    deterministic trailing split. An unknown `task`, or classification
+    labels other than non-negative integers, raise ValueError.
     """
     if len(embeddings) != len(labels):
         raise ValueError("embedding/label count mismatch")
+    if task not in ("classification", "regression"):
+        raise ValueError(f"unknown probe task {task!r}")
+    if task == "classification" and not (np.issubdtype(labels.dtype, np.integer) and labels.min() >= 0):
+        raise ValueError("classification labels must be non-negative integers")
     rng = _stream(seed, _STREAM_PROBE)
     n = len(embeddings)
     n_val = max(1, int(n * val_fraction))
@@ -117,7 +122,7 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
             with enable_grad():
                 logits = head.logits(xb)
                 if task == "classification":
-                    loss = cross_entropy(logits, y_tr[idx].astype(int))
+                    loss = cross_entropy(logits, y_tr[idx])
                 else:
                     diff = logits.reshape(len(idx)) - Tensor(y_tr[idx].astype(np.float64))
                     loss = (diff * diff).mean()
@@ -127,7 +132,7 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
 
     pred = head.predict(x_va)
     if task == "classification":
-        metric = float(np.mean(np.argmax(pred, axis=1) == y_va.astype(int)))
+        metric = float(np.mean(np.argmax(pred, axis=1) == y_va))
     else:
         metric = float(np.sqrt(np.mean((pred.reshape(-1) - y_va) ** 2)))
     return head, metric

@@ -416,11 +416,14 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     One node: its value equals that of the chain log-softmax, pick at the
     targets, mean and negate bit for bit, and its backward is the closed
     form (softmax - onehot(targets)) * g / n. A NaN anywhere in a row
-    raises NumericError."""
+    raises NumericError. Targets must be integers in [0, K), else
+    ValueError: a negative target would wrap to another class."""
     targets = np.asarray(targets)
     n = logits.shape[0]
     if logits.ndim != 2 or targets.shape != (n,):
         raise ShapeMismatchError(f"cross_entropy needs (n, K) logits and n targets, got {logits.shape} and {targets.shape}")
+    if not np.issubdtype(targets.dtype, np.integer) or n and not (0 <= targets.min() and targets.max() < logits.shape[1]):
+        raise ValueError(f"cross_entropy targets must be integers in [0, {logits.shape[1]})")
     rows = np.arange(n)
     shifted = _shifted_rows(logits.values, "cross_entropy")
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -117,9 +117,6 @@ class AdamW:
         for p in self.params.values():
             p.zero_grad()
 
-    def state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
     def load_state(self, state: dict):
         self.t = int(state["t"])
         for k in self.m:

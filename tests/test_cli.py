@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import os
 import struct
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gair.cli import main
-from gair.datagen import read_dataset
+from gair.datagen import BLOB_MAGIC, DataConfig, _record_dtype, read_dataset
 from gair.training import load_checkpoint
 
 TINY_DATA = {
@@ -128,6 +129,36 @@ class TestPretrain:
         metrics = [json.loads(line) for line in open(os.path.join(workspace["run"], "metrics.jsonl"))]
         assert len(metrics) == 3  # 12 records / batch 4, one epoch
         assert all({"incl", "secl", "total", "grad_norm", "grad_norm_loc", "lr", "step"} <= set(m) for m in metrics)
+
+    # Each pretrain option's config-file key, flag, a value other than its
+    # default, and where the value lands in the final checkpoint's state.
+    OPTIONS = [
+        ("seed", "--seed", 3, "config.seed"), ("batch_size", "--batch-size", 3, "config.batch_size"),
+        ("epochs", "--epochs", 2, "config.epochs"), ("lr", "--lr", 0.002, "config.base_lr"),
+        ("beta1", "--beta1", 0.8, "config.beta1"), ("beta2", "--beta2", 0.99, "config.beta2"),
+        ("weight_decay", "--weight-decay", 0.01, "config.weight_decay"),
+        ("warmup", "--warmup", 0.1, "config.warmup_fraction"), ("schedule", "--schedule", "constant", "config.schedule"),
+        ("tau", "--tau", 0.1, "config.loss.tau"), ("lambda_secl", "--lambda", 0.5, "config.loss.lambda_secl"),
+        ("bank_capacity", "--bank-capacity", 12, "config.loss.bank_capacity"),
+        ("eval_every", "--eval-every", 5, "config.eval_every"), ("dim", "--dim", 8, "model.rs.config.dim"),
+        ("rff_sigma", "--rff-sigma", 5.0, "model.loc.config.sigma"),
+        ("rff_sigma_min", "--rff-sigma-min", 0.5, "model.loc.config.sigma_min"),
+    ]
+
+    @pytest.mark.parametrize("source", ["flags", "config-file"])
+    def test_every_option_reaches_its_field(self, workspace, tmp_path, source):
+        if source == "flags":
+            cfg = write_config(tmp_path, "t.json", TINY_DATA)
+            flags = [str(part) for _, flag, value, _ in self.OPTIONS for part in (flag, value)]
+        else:
+            cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **{key: value for key, _, value, _ in self.OPTIONS}})
+            flags = []
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(out), *flags]) == 0
+        state = load_checkpoint(str(out / "checkpoint.bin"))
+        for key, _, value, where in self.OPTIONS:
+            head, path = where.split(".", 1)
+            assert operator.attrgetter(path)(state[head]) == value, key
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(["pretrain", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
@@ -334,6 +365,24 @@ class TestEvaluate:
         assert main([command, "--data", str(ds), *args]) == 3
         assert "mt19937" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_negative_class_labels_are_data_error(self, workspace, tmp_path, capsys):
+        # A probe on labels of -1 used to train them as the last class and report an accuracy.
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        manifest = open(os.path.join(workspace["ds"], "manifest.json")).read()
+        (ds / "manifest.json").write_text(manifest)
+        data = bytearray(open(os.path.join(workspace["ds"], "data.blob"), "rb").read())
+        dtype = _record_dtype(DataConfig(**json.loads(manifest)["config"]))
+        table = np.frombuffer(data, dtype=dtype, offset=len(BLOB_MAGIC))
+        table["label_class"] = np.where(table["label_class"] == 0, -1, 1)
+        (ds / "data.blob").write_bytes(bytes(data))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", workspace["ckpt"], "--data", str(ds), "--probe", "linear",
+                     "--out", str(out)]) == 3
+        assert "label_class -1 is not 0 or 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", [{"rs_size": 16}, {"sv_size": 16}, {"rs_channels": 1}],
                              ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()))

@@ -408,6 +408,20 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"record 4: location .* outside its footprint.*at byte offset {start}"):
             read_dataset(manifest_path)
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_class_other_than_0_or_1_is_format_error(self, tmp_path, label):
+        cfg = small_cfg()
+        manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
+        blob = tmp_path / "ds" / "data.blob"
+        data = bytearray(blob.read_bytes())
+        dtype = _record_dtype(cfg)
+        start = len(BLOB_MAGIC) + 5 * dtype.itemsize
+        at = start + dtype.fields["label_class"][1]
+        data[at : at + 8] = struct.pack("<q", label)
+        blob.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"record 5: label_class {label} is not 0 or 1.*at byte offset {start}"):
+            read_dataset(manifest_path)
+
     def test_failed_blob_write_leaves_no_manifest(self, tmp_path, monkeypatch, full_disk):
         cfg = small_cfg()
         recs = generate_records(cfg)

@@ -155,6 +155,19 @@ class TestFitProbe:
         with pytest.raises(ValueError):
             fit_probe(np.zeros((4, 2)), np.zeros(4, dtype=int), kind="quadratic")
 
+    def test_unknown_task_rejected(self):
+        # It used to train a regression and report its RMSE as the metric.
+        x, y = self.separable_data(n=40)
+        with pytest.raises(ValueError, match="classfication"):
+            fit_probe(x, y, task="classfication")
+
+    @pytest.mark.parametrize("labels", [[-1, 1], [0.0, 1.0]], ids=["negative", "float"])
+    def test_classification_labels_other_than_non_negative_integers_rejected(self, labels):
+        # With labels {-1, 1}, every -1 used to train as class 1.
+        x, y = self.separable_data(n=40)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            fit_probe(x, np.asarray(labels)[y], kind="linear", seed=0)
+
 
 class TestGeoAwarePredict:
     def test_uniform_prior_preserves_argmax(self):

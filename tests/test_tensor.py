@@ -174,6 +174,18 @@ class TestCrossEntropy:
         with pytest.raises(ShapeMismatchError):
             cross_entropy(t64(np.zeros(4)), [0, 1, 2, 3])
 
+    def test_negative_target_raises(self):
+        # A negative target would wrap: [-1, 0] used to give the loss of [2, 0].
+        x = t64([[0.5, 1.0, 2.0], [1.0, 0.0, -1.0]])
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            cross_entropy(x, [-1, 0])
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            cross_entropy(x, [3, 0])
+
+    def test_float_target_raises(self):
+        with pytest.raises(ValueError, match="integers"):
+            cross_entropy(t64([[0.5, 1.0, 2.0], [1.0, 0.0, -1.0]]), np.array([1.0, 0.0]))
+
 
 def scipy_gelu(x):
     """GELU with scipy's erf in the dtype of `x`, as the engine computed it
