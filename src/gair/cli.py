@@ -230,6 +230,9 @@ def cmd_pretrain(args, file_cfg) -> int:
 
     if len(records) < cfg.batch_size:
         return _usage_error(f"dataset of {len(records)} records is smaller than one batch of {cfg.batch_size}")
+    total_steps = (len(records) // cfg.batch_size) * cfg.epochs
+    if start > total_steps:
+        raise FormatError(f"checkpoint is at step {start}, past this dataset's last step, {total_steps}")
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     run_cfg = {"train": asdict(cfg), "data": manifest["config"]}
@@ -242,20 +245,20 @@ def cmd_pretrain(args, file_cfg) -> int:
             start_step=start, metrics_fh=fh, checkpoint_dir=args.out,
         )
     final = os.path.join(args.out, "checkpoint.bin")
-    total_steps = (len(records) // cfg.batch_size) * cfg.epochs
     save_checkpoint(final, model, optimizer, bank, cfg, total_steps)
     _log(f"wrote {final}")
     print(json.dumps({"checkpoint": final, "metrics": metrics_path, "steps": total_steps}))
     return EXIT_OK
 
 
-def _holdout_embeddings(model: Model, records, holdout: int, batch: int = 64):
-    """Embeddings for the trailing holdout split, computed without augmentation."""
+def _holdout_embeddings(model: Model, records, holdout: int):
+    """Embeddings for the trailing holdout split, computed without augmentation
+    in batches of 64 records."""
     idx = list(range(len(records) - holdout, len(records)))
     rng = np.random.default_rng(0)  # unused: augment off
     z_all, g_all, cls = [], [], []
-    for s in range(0, len(idx), batch):
-        chunk = make_batch(records, idx[s : s + batch], rng, augment=False)
+    for s in range(0, len(idx), 64):
+        chunk = make_batch(records, idx[s : s + 64], rng, augment=False)
         z_all.append(model.localized_rs(chunk.rs, chunk.local_uv).values)
         g_all.append(model.sv.encode_pooled(chunk.sv).values)
         cls.append(chunk.label_class)
@@ -270,12 +273,14 @@ def cmd_evaluate(args, file_cfg) -> int:
     model = state["model"]
     _check_model_fits_data(model, manifest["config"])
     holdout = min(args.holdout, len(records))
+    if args.probe and holdout < 2:
+        return _usage_error(f"--probe needs a holdout of at least 2 records, not {holdout}")
     z, g, cls = _holdout_embeddings(model, records, holdout)
     truth = np.arange(len(z))
     report = {
         "task": "sv_to_inr_rs_retrieval",
         "split": f"holdout[{holdout}]",
-        "metrics": retrieval_metrics(g, z, truth, ks=(1, 5, 10)),
+        "metrics": retrieval_metrics(g, z, truth),
         "config_hash": state["header"]["config_hash"],
     }
     for kind in args.probe or []:

@@ -157,15 +157,23 @@ def sample_field(world: WorldModel, p: GeoPoint) -> float:
     return float(_field_grid(world, np.array(p.lon), np.array(p.lat)))
 
 
-def field_gradient(world: WorldModel, p: GeoPoint) -> tuple:
-    """(dF/dlon_deg, dF/dlat_deg) at p."""
-    lon_d, lat_d = p.lon / _DEG, p.lat / _DEG
+def _gradient_grid(world: WorldModel, lon: np.ndarray, lat: np.ndarray) -> tuple:
+    """(dF/dlon_deg, dF/dlat_deg) evaluated elementwise on broadcastable
+    lon/lat arrays (radians), summing the modes in order."""
+    lon_d = np.asarray(lon) / _DEG
+    lat_d = np.asarray(lat) / _DEG
     gx = gy = 0.0
     for a, f, ph in zip(world.amplitudes, world.frequencies, world.phases):
-        c = a * 2.0 * math.pi * math.cos(2.0 * math.pi * (f[0] * lon_d + f[1] * lat_d) + ph)
+        c = a * 2.0 * math.pi * np.cos(2.0 * math.pi * (f[0] * lon_d + f[1] * lat_d) + ph)
         gx += c * f[0]
         gy += c * f[1]
     return gx, gy
+
+
+def field_gradient(world: WorldModel, p: GeoPoint) -> tuple:
+    """(dF/dlon_deg, dF/dlat_deg) at p."""
+    gx, gy = _gradient_grid(world, np.array(p.lon), np.array(p.lat))
+    return float(gx), float(gy)
 
 
 @dataclass
@@ -278,8 +286,7 @@ def _fill_block(world: WorldModel, rendering: tuple, start: int, rows: np.ndarra
     lon, lat = local_lonlat(uv[:, 0], uv[:, 1], lon_min, lon_max, lat_min, lat_max)
     f_loc = _field_grid(world, lon, lat)
     bases, stds = rendering
-    gradients = [field_gradient(world, GeoPoint(*p)) for p in zip(lon.tolist(), lat.tolist())]
-    signals = np.column_stack([f_loc, gradients]) / stds
+    signals = np.column_stack([f_loc, *_gradient_grid(world, lon, lat)]) / stds
     pattern = signals[:, 0, None, None] * bases[0] + signals[:, 1, None, None] * bases[1] + signals[:, 2, None, None] * bases[2]
     rows["sv"][:, 0] = pattern + cfg.sigma_sv * sv_noise
     rows["lon"], rows["lat"] = lon, lat

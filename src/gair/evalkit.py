@@ -29,6 +29,11 @@ __all__ = [
     "write_heatmap_pgm",
 ]
 
+# The probe recipe, one for every probe: Adam at _PROBE_LR for _PROBE_EPOCHS
+# epochs in batches of _PROBE_BATCH, the metric on the trailing
+# _PROBE_VAL_FRACTION of the rows, and _PROBE_HIDDEN units in a nonlinear head.
+_PROBE_EPOCHS, _PROBE_LR, _PROBE_BATCH, _PROBE_VAL_FRACTION, _PROBE_HIDDEN = 200, 0.05, 128, 0.25, 64
+
 
 def retrieval_metrics(queries: np.ndarray, candidates: np.ndarray, truth: np.ndarray, ks=(1, 5, 10)) -> dict:
     """Rank candidates per query by cosine similarity (descending, ties to
@@ -70,7 +75,9 @@ class ProbeHead:
         return self.logits(Tensor(x)).values
 
     @staticmethod
-    def init(kind: str, d_in: int, d_out: int, rng: np.random.Generator, hidden: int = 64) -> "ProbeHead":
+    def init(kind: str, d_in: int, d_out: int, rng: np.random.Generator) -> "ProbeHead":
+        """A fresh head; a nonlinear one has `_PROBE_HIDDEN` hidden units."""
+
         def t(arr):
             return Tensor(arr.astype(np.float64), requires_grad=True)
 
@@ -78,9 +85,9 @@ class ProbeHead:
             params = {"w": t(rng.normal(0, 1 / math.sqrt(d_in), (d_in, d_out))), "b": t(np.zeros(d_out))}
         elif kind == "nonlinear":
             params = {
-                "w1": t(rng.normal(0, 1 / math.sqrt(d_in), (d_in, hidden))),
-                "b1": t(np.zeros(hidden)),
-                "w2": t(rng.normal(0, 1 / math.sqrt(hidden), (hidden, d_out))),
+                "w1": t(rng.normal(0, 1 / math.sqrt(d_in), (d_in, _PROBE_HIDDEN))),
+                "b1": t(np.zeros(_PROBE_HIDDEN)),
+                "w2": t(rng.normal(0, 1 / math.sqrt(_PROBE_HIDDEN), (_PROBE_HIDDEN, d_out))),
                 "b2": t(np.zeros(d_out)),
             }
         else:
@@ -88,36 +95,40 @@ class ProbeHead:
         return ProbeHead(kind=kind, params=params)
 
 
-def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", task: str = "classification",
-              epochs: int = 200, lr: float = 0.05, batch_size: int = 128, seed: int = 0,
-              val_fraction: float = 0.25, hidden: int = 64):
+def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", task: str = "classification", seed: int = 0):
     """Train a probe head on frozen embeddings; returns (head, held-out metric).
 
-    Classification reports accuracy, regression reports RMSE, both on a
-    deterministic trailing split. An unknown `task`, or classification
-    labels other than non-negative integers, raise ValueError.
+    Every probe follows one recipe: plain Adam at learning rate 0.05 for 200
+    epochs in shuffled batches of 128 rows, on all but the trailing
+    int(n * 0.25) rows (at least one), which give the metric; a nonlinear
+    head has 64 hidden units. Classification reports accuracy, regression
+    reports RMSE. Fewer than 2 samples leave nothing to train on or nothing
+    to measure, and raise ValueError, as do an unknown `task` and
+    classification labels other than non-negative integers.
     """
     if len(embeddings) != len(labels):
         raise ValueError("embedding/label count mismatch")
+    if len(embeddings) < 2:
+        raise ValueError(f"a probe needs at least 2 samples, not {len(embeddings)}")
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown probe task {task!r}")
     if task == "classification" and not (np.issubdtype(labels.dtype, np.integer) and labels.min() >= 0):
         raise ValueError("classification labels must be non-negative integers")
     rng = _stream(seed, _STREAM_PROBE)
     n = len(embeddings)
-    n_val = max(1, int(n * val_fraction))
+    n_val = max(1, int(n * _PROBE_VAL_FRACTION))
     x_tr, x_va = embeddings[: n - n_val], embeddings[n - n_val :]
     y_tr, y_va = labels[: n - n_val], labels[n - n_val :]
     d_out = int(np.max(labels)) + 1 if task == "classification" else 1
-    head = ProbeHead.init(kind, embeddings.shape[1], d_out, rng, hidden=hidden)
+    head = ProbeHead.init(kind, embeddings.shape[1], d_out, rng)
 
     # Plain Adam (AdamW without decay) over the probe parameters; the
     # backbone is untouched.
     optimizer = AdamW(head.params, TrainConfig(weight_decay=0.0))
-    for epoch in range(epochs):
+    for epoch in range(_PROBE_EPOCHS):
         perm = rng.permutation(len(x_tr))
-        for s in range(0, len(x_tr), batch_size):
-            idx = perm[s : s + batch_size]
+        for s in range(0, len(x_tr), _PROBE_BATCH):
+            idx = perm[s : s + _PROBE_BATCH]
             xb = Tensor(x_tr[idx].astype(np.float64))
             with enable_grad():
                 logits = head.logits(xb)
@@ -128,7 +139,7 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
                     loss = (diff * diff).mean()
             optimizer.zero_grad()
             backward(loss)
-            optimizer.step(lr)
+            optimizer.step(_PROBE_LR)
 
     pred = head.predict(x_va)
     if task == "classification":

@@ -32,7 +32,6 @@ __all__ = [
     "cell_centers",
     "interpolation_hull",
     "equal_earth",
-    "equal_earth_rescaled",
     "EQUAL_EARTH_X_MAX",
     "EQUAL_EARTH_Y_MAX",
 ]
@@ -183,14 +182,9 @@ def _projection_extrema() -> tuple:
 EQUAL_EARTH_X_MAX, EQUAL_EARTH_Y_MAX = _projection_extrema()
 
 
-def equal_earth_rescaled(p: GeoPoint) -> tuple:
-    """Equal Earth projection rescaled into [-1, 1]^2 by the global extrema."""
-    x, y = equal_earth(p)
-    return x / EQUAL_EARTH_X_MAX, y / EQUAL_EARTH_Y_MAX
-
-
 def equal_earth_rescaled_batch(lonlat: np.ndarray) -> np.ndarray:
-    """Vectorized equal_earth_rescaled over an (n, 2) lon/lat array."""
+    """Equal Earth projection of an (n, 2) lon/lat array, rescaled into
+    [-1, 1]^2 by the global extrema EQUAL_EARTH_X_MAX and EQUAL_EARTH_Y_MAX."""
     lon = lonlat[:, 0]
     outside = (lon < -math.pi) | (lon >= math.pi)
     if np.any(outside):

@@ -114,9 +114,9 @@ def audit_cases(seed: int = 0):
     return cases
 
 
-def run_audit(tolerance: float = 1e-4, seed: int = 0):
-    """Run every audit case; returns a list of GradCheckReport."""
+def run_audit(tolerance: float = 1e-4):
+    """Run every audit case of seed 0; returns a list of GradCheckReport."""
     reports = []
-    for name, fn, inputs in audit_cases(seed):
+    for name, fn, inputs in audit_cases(0):
         reports.append(grad_check(fn, inputs, tolerance=tolerance, op_name=name))
     return reports

@@ -72,11 +72,11 @@ class FThetaParams:
         )
 
     @staticmethod
-    def passthrough(d: int, dtype=np.float64) -> "FThetaParams":
-        """Extracts the center block of the unfolded latent."""
-        w = np.zeros((9 * d, d), dtype=dtype)
-        w[4 * d : 5 * d, :] = np.eye(d, dtype=dtype)
-        return FThetaParams(weight=Tensor(w), bias=Tensor(np.zeros(d, dtype=dtype)))
+    def passthrough(d: int) -> "FThetaParams":
+        """Extracts the center block of the unfolded latent, in float64."""
+        w = np.zeros((9 * d, d))
+        w[4 * d : 5 * d, :] = np.eye(d)
+        return FThetaParams(weight=Tensor(w), bias=Tensor(np.zeros(d)))
 
     def named(self) -> dict:
         return {"ftheta.weight": self.weight, "ftheta.bias": self.bias}

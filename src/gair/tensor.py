@@ -582,16 +582,16 @@ class GradCheckReport:
     passed: bool
 
 
-def grad_check(fn, inputs, tolerance=1e-4, op_name="fn", zero_floor=1e-7) -> GradCheckReport:
+def grad_check(fn, inputs, tolerance=1e-4, op_name="fn") -> GradCheckReport:
     """Compare backward gradients of fn(*inputs) against central differences.
 
     Inputs must be 64-bit tensors; finite differences use a per-element step
     h = 1e-6 * max(1, |x|). Relative error is |g_ad - g_fd| scaled by
     max(1e-8, |g_ad| + |g_fd|). Components where both gradients sit below
-    `zero_floor` are counted as matching: central differences of a constant
-    direction only return float cancellation noise (~1e-9), which would
-    otherwise swamp the 1e-8 denominator floor for structurally zero
-    gradients. Only the analytic pass records a graph.
+    the constant floor 1e-7 are counted as matching: central differences of
+    a constant direction only return float cancellation noise (~1e-9),
+    which would otherwise swamp the 1e-8 denominator floor for structurally
+    zero gradients. Only the analytic pass records a graph.
     """
     for t in inputs:
         if t.dtype != np.float64:
@@ -621,7 +621,7 @@ def grad_check(fn, inputs, tolerance=1e-4, op_name="fn", zero_floor=1e-7) -> Gra
             raise NumericError(f"non-finite gradient in grad_check of {op_name}")
         denom = np.maximum(1e-8, np.abs(g_ad_flat) + np.abs(g_fd))
         rel = np.abs(g_ad_flat - g_fd) / denom
-        rel[(np.abs(g_ad_flat) < zero_floor) & (np.abs(g_fd) < zero_floor)] = 0.0
+        rel[(np.abs(g_ad_flat) < 1e-7) & (np.abs(g_fd) < 1e-7)] = 0.0
         err = float(np.max(rel)) if flat.size else 0.0
         max_err = max(max_err, err)
 

@@ -305,6 +305,15 @@ class TestPretrain:
         assert "rs_size" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_resume_past_the_datasets_last_step_is_data_error(self, tmp_path, workspace, capsys):
+        # The checkpoint sits at step 3; 4 records at batch 4 give one step.
+        other = dataset_of(tmp_path, count=4)
+        out = tmp_path / "o"
+        rc = main(["pretrain", "--data", other, "--out", str(out), "--resume", workspace["ckpt"]])
+        assert rc == 3
+        assert "past this dataset's last step, 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_on_dataset_smaller_than_batch_is_usage_error(self, tmp_path, workspace, capsys):
         small = str(tmp_path / "small")
         assert main(["--config", write_config(tmp_path, "d.json", {**TINY_DATA, "count": 3}), "gen-data", "--out", small]) == 0
@@ -419,6 +428,14 @@ class TestEvaluate:
         rc = main(["evaluate", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"], "--holdout", holdout])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_probe_on_a_one_record_holdout_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = main(["evaluate", "--checkpoint", workspace["ckpt"], "--data", workspace["ds"],
+                   "--holdout", "1", "--probe", "linear", "--out", str(out)])
+        assert rc == 2
+        assert "at least 2 records" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_probe_divergence_is_numeric_error(self, workspace, monkeypatch, capsys):
         import gair.cli as cli

@@ -57,6 +57,18 @@ class TestWorldField:
         fd_y = (sample_field(world, GeoPoint(p.lon, p.lat + h * DEG)) - sample_field(world, GeoPoint(p.lon, p.lat - h * DEG))) / (2 * h)
         assert abs(gx - fd_x) < 1e-4 and abs(gy - fd_y) < 1e-4
 
+    def test_block_gradient_equals_pointwise_gradient(self):
+        # _fill_block takes a whole block's gradients in one call; each must
+        # be the bits field_gradient gives for its point alone.
+        world = build_world(small_cfg())
+        region = world.config.region()
+        rng = np.random.default_rng(3)
+        lon = rng.uniform(region.lon_min, region.lon_max, 64)
+        lat = rng.uniform(region.lat_min, region.lat_max, 64)
+        gx, gy = datagen._gradient_grid(world, lon, lat)
+        pointwise = [field_gradient(world, GeoPoint(lo, la)) for lo, la in zip(lon.tolist(), lat.tolist())]
+        assert np.array_equal(np.column_stack([gx, gy]), pointwise)
+
     def test_out_of_region_rejected(self):
         world = build_world(small_cfg())
         with pytest.raises(ValueError):

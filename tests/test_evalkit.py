@@ -155,6 +155,13 @@ class TestFitProbe:
         with pytest.raises(ValueError):
             fit_probe(np.zeros((4, 2)), np.zeros(4, dtype=int), kind="quadratic")
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, n):
+        # With one sample it trained on zero rows and reported the untrained
+        # head's accuracy; with none it failed inside numpy.
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            fit_probe(np.zeros((n, 2)), np.zeros(n, dtype=int), kind="linear", seed=0)
+
     def test_unknown_task_rejected(self):
         # It used to train a regression and report its RMSE as the metric.
         x, y = self.separable_data(n=40)

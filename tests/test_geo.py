@@ -12,7 +12,6 @@ from gair.geo import (
     GeoPoint,
     OutOfFootprintError,
     equal_earth,
-    equal_earth_rescaled,
     equal_earth_rescaled_batch,
     cell_centers,
     footprint_center,
@@ -205,11 +204,13 @@ class TestEqualEarth:
         assert abs(EQUAL_EARTH_X_MAX / EQUAL_EARTH_Y_MAX - 2.05) < 5e-3
         rng = np.random.default_rng(2)
         lonlat = np.stack([rng.uniform(-math.pi, math.pi, 200), rng.uniform(-math.pi / 2, math.pi / 2, 200)], axis=1)
-        scalar = np.array([equal_earth_rescaled(GeoPoint(lon, lat)) for lon, lat in lonlat])
+        scalar = np.array([equal_earth(GeoPoint(lon, lat)) for lon, lat in lonlat]) / [EQUAL_EARTH_X_MAX, EQUAL_EARTH_Y_MAX]
         assert np.allclose(equal_earth_rescaled_batch(lonlat), scalar, rtol=0, atol=1e-15)
 
     def test_rescale_extrema(self):
         assert abs(EQUAL_EARTH_X_MAX - 2.7066) < 1e-3
         assert abs(EQUAL_EARTH_Y_MAX - 1.3173) < 1e-3
-        x, y = equal_earth_rescaled(GeoPoint(0.0, math.pi / 2))
-        assert abs(y - 1.0) < 1e-12 and abs(x) < 1e-12
+        x, y = equal_earth(GeoPoint(0.0, math.pi / 2))
+        q = equal_earth_rescaled_batch(np.array([[0.0, math.pi / 2]]))[0]
+        assert np.allclose(q, [x / EQUAL_EARTH_X_MAX, y / EQUAL_EARTH_Y_MAX], rtol=0, atol=1e-15)
+        assert abs(q[1] - 1.0) < 1e-12 and abs(q[0]) < 1e-12
