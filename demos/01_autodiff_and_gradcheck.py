@@ -16,7 +16,8 @@ w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 labels = np.array([0, 1, 1, 0])
 
 # Forward: a little network ending in a softmax cross-entropy, the loss
-# behind both InfoNCE objectives and the classification probe. Inside
+# behind both InfoNCE objectives. (The classification probe trains on it
+# too, but takes its closed-form gradient without a graph.) Inside
 # enable_grad() each result remembers how it was computed; outside, the
 # same ops give the same values and keep no graph, which is all an
 # inference pass needs.

@@ -6,11 +6,11 @@ be written, 3 data/format error (including an input that cannot be read),
 4 numeric divergence. Logs go to stderr; machine-readable output to files
 or stdout. A JSON config file may supply any flag's value; explicit flags
 win. BLAS runs one thread outside graph work (`gair.parallel`); training
-steps and probe fits run it at the count it loaded with. To cap that
-count, set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, depending on the BLAS
-build) in the environment before starting the command; BLAS reads it
-once, when numpy loads. Forward-only work spreads blocks over one thread
-per usable core, which `taskset` caps.
+steps run it at the count it loaded with. To cap that count, set
+OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, depending on the BLAS build) in
+the environment before starting the command; BLAS reads it once, when
+numpy loads. Forward-only work spreads blocks over one thread per usable
+core, which `taskset` caps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .datagen import DataConfig, generate_records, make_batch, read_dataset, write_dataset
 from .encoders import EncoderConfig, LocEncoderConfig
-from .errors import FormatError
+from .errors import FormatError, require_keys
 from .evalkit import fit_probe, heatmap_inr, heatmap_loc, retrieval_metrics, write_heatmap_csv, write_heatmap_pgm
 from .geo import GeoPoint, footprint_center
 from .inr import unfold3x3
@@ -56,9 +56,11 @@ def _load_config_file(path) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, ValueError) as exc:
         raise FormatError(f"unreadable config file {path}: {exc}") from None
+    require_keys(cfg, (), f"config file {path}")
+    return cfg
 
 
 def _merged(args, file_cfg: dict, key: str, default):

@@ -381,7 +381,7 @@ def read_dataset(path) -> tuple:
     if manifest["rng"] != RNG_ALGORITHM:
         raise FormatError(f"unsupported dataset rng {manifest['rng']!r}, expected {RNG_ALGORITHM!r}")
     count = manifest["count"]
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:
         raise FormatError(f"manifest count must be a positive integer, not {count!r}")
     require_keys(manifest["config"], [f.name for f in fields(DataConfig)], "manifest config")
     try:

@@ -1,6 +1,8 @@
 """Transfer and analysis tools: cross-modal retrieval, linear and
-non-linear probes over frozen embeddings, location-prior fusion,
-concatenated-embedding regression, and similarity heatmaps."""
+non-linear probes over frozen embeddings, location-prior fusion and
+similarity heatmaps. A probe takes its gradients in closed form, with no
+autodiff graph. Regression over the concatenated image and location
+embeddings is `fit_probe` on their concatenation."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 from .datagen import _STREAM_PROBE, _stream
 from .geo import GeoFootprint, GeoPoint, footprint_center, interpolation_hull, local_uv
 from .inr import inr_query_batch
-from .tensor import Tensor, backward, cross_entropy, enable_grad, matmul
+from .tensor import Tensor, _cross_entropy_grad, _gelu_grad, _gelu_phi, _log_softmax
 from .training import AdamW, TrainConfig
 
 __all__ = [
@@ -21,7 +23,6 @@ __all__ = [
     "ProbeHead",
     "fit_probe",
     "geo_aware_predict",
-    "geo_regression",
     "HeatmapGrid",
     "heatmap_loc",
     "heatmap_inr",
@@ -41,9 +42,10 @@ def retrieval_metrics(queries: np.ndarray, candidates: np.ndarray, truth: np.nda
 
     `truth` holds one integer candidate index in [0, len(candidates)) per
     query, else ValueError: a negative index would wrap to the end and
-    break the tie rule."""
-    if candidates.shape[0] == 0:
-        raise ValueError("empty candidate set")
+    break the tie rule. An empty query or candidate set raises ValueError
+    too."""
+    if len(queries) == 0 or len(candidates) == 0:
+        raise ValueError(f"empty {'query' if len(queries) == 0 else 'candidate'} set")
     truth = np.asarray(truth)
     if not np.issubdtype(truth.dtype, np.integer) or truth.shape != (len(queries),):
         raise ValueError(f"truth must be {len(queries)} integer indices, not {truth.dtype} of shape {truth.shape}")
@@ -65,14 +67,41 @@ class ProbeHead:
     kind: str  # "linear" or "nonlinear"
     params: dict  # name -> Tensor
 
-    def logits(self, x: Tensor) -> Tensor:
+    def _forward(self, x: np.ndarray) -> tuple:
+        """(input of the output layer, hidden pre-activation, its Phi, logits)
+        for rows `x`; a linear head's output layer takes `x` itself, and it
+        has no hidden layer (None, None)."""
+        p = {name: t.values for name, t in self.params.items()}
         if self.kind == "linear":
-            return matmul(x, self.params["w"]) + self.params["b"]
-        h = (matmul(x, self.params["w1"]) + self.params["b1"]).gelu()
-        return matmul(h, self.params["w2"]) + self.params["b2"]
+            return x, None, None, x @ p["w"] + p["b"]
+        pre = x @ p["w1"] + p["b1"]
+        phi = _gelu_phi(pre)
+        h = pre * phi
+        return h, pre, phi, h @ p["w2"] + p["b2"]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.logits(Tensor(x)).values
+        return self._forward(np.asarray(x))[-1]
+
+    def _set_gradients(self, x: np.ndarray, y: np.ndarray, task: str):
+        """Set each parameter's `grad` to the gradient of the batch loss on
+        rows `x` with targets `y`: mean cross-entropy for classification,
+        mean squared error for regression. These are the closed forms of the
+        graph's backward pass, in its order of operations, so they match it
+        bit for bit."""
+        n = len(x)
+        h, pre, phi, logits = self._forward(x)
+        if task == "classification":
+            d = _cross_entropy_grad(_log_softmax(logits), y, 1.0 / n)
+        else:
+            t = (logits.reshape(n) - y) * (1.0 / n)
+            d = (t + t).reshape(n, 1)
+        w, b = ("w", "b") if self.kind == "linear" else ("w2", "b2")
+        grads = {w: h.T @ d, b: d.sum(axis=0)}
+        if self.kind == "nonlinear":
+            d_pre = _gelu_grad(pre, phi, d @ self.params["w2"].values.T)
+            grads.update(w1=x.T @ d_pre, b1=d_pre.sum(axis=0))
+        for name, g in grads.items():
+            self.params[name].grad = g
 
     @staticmethod
     def init(kind: str, d_in: int, d_out: int, rng: np.random.Generator) -> "ProbeHead":
@@ -101,10 +130,13 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
     Every probe follows one recipe: plain Adam at learning rate 0.05 for 200
     epochs in shuffled batches of 128 rows, on all but the trailing
     int(n * 0.25) rows (at least one), which give the metric; a nonlinear
-    head has 64 hidden units. Classification reports accuracy, regression
-    reports RMSE. Fewer than 2 samples leave nothing to train on or nothing
-    to measure, and raise ValueError, as do an unknown `task` and
-    classification labels other than non-negative integers.
+    head has 64 hidden units. Classification minimizes mean cross-entropy
+    and reports accuracy, regression minimizes mean squared error and
+    reports RMSE; each step's gradients are closed forms, with no autodiff
+    graph, and NaN logits raise NumericError. Fewer than 2 samples leave
+    nothing to train on or nothing to measure, and raise ValueError, as do
+    an unknown `task` and classification labels other than non-negative
+    integers.
     """
     if len(embeddings) != len(labels):
         raise ValueError("embedding/label count mismatch")
@@ -129,16 +161,7 @@ def fit_probe(embeddings: np.ndarray, labels: np.ndarray, kind: str = "linear", 
         perm = rng.permutation(len(x_tr))
         for s in range(0, len(x_tr), _PROBE_BATCH):
             idx = perm[s : s + _PROBE_BATCH]
-            xb = Tensor(x_tr[idx].astype(np.float64))
-            with enable_grad():
-                logits = head.logits(xb)
-                if task == "classification":
-                    loss = cross_entropy(logits, y_tr[idx])
-                else:
-                    diff = logits.reshape(len(idx)) - Tensor(y_tr[idx].astype(np.float64))
-                    loss = (diff * diff).mean()
-            optimizer.zero_grad()
-            backward(loss)
+            head._set_gradients(x_tr[idx].astype(np.float64), y_tr[idx], task)
             optimizer.step(_PROBE_LR)
 
     pred = head.predict(x_va)
@@ -159,15 +182,6 @@ def geo_aware_predict(log_p_image: np.ndarray, log_p_loc: np.ndarray) -> dict:
     shifted = scores - scores.max()
     probs = np.exp(shifted) / np.exp(shifted).sum()
     return {"scores": scores, "probs": probs, "argmax": int(np.argmax(scores))}
-
-
-def geo_regression(image_emb: np.ndarray, loc_emb: np.ndarray, head: ProbeHead) -> float:
-    """Affine prediction over the concatenated image and location embeddings."""
-    x = np.concatenate([np.asarray(image_emb), np.asarray(loc_emb)])
-    expected = head.params["w"].shape[0]
-    if x.shape[0] != expected:
-        raise ValueError(f"head expects input width {expected}, got {x.shape[0]}")
-    return float(head.predict(x[None, :])[0, 0])
 
 
 @dataclass

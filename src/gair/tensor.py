@@ -9,13 +9,13 @@ indexed: a gather is part of the closed-form node that needs it.
 The graph is opt-in. Inside `with enable_grad():` an op whose parent
 requires grad records its parents and a closure that accumulates gradients
 into them. Outside, every op computes the same values, bit for bit, and
-keeps neither, so forward-only passes (embedding, heatmaps, probes'
-predictions) hold no graph. Three checks keep the default from failing
-silently: `backward` rejects a root with no recorded graph, an op inside
-`enable_grad()` rejects a parent computed outside it from tensors that
-require grad, whose gradient would otherwise stop there, and a
-forward-only op (a `_make` node with no backward, such as
-`gair.inr.unfold3x3`) rejects a parent that requires grad there.
+keeps neither, so forward-only passes (embedding, heatmaps) hold no
+graph. Three checks keep the default from failing silently: `backward`
+rejects a root with no recorded graph, an op inside `enable_grad()`
+rejects a parent computed outside it from tensors that require grad,
+whose gradient would otherwise stop there, and a forward-only op (a
+`_make` node with no backward, such as `gair.inr.unfold3x3`) rejects a
+parent that requires grad there.
 
 Graph work has BLAS's threads: inside `enable_grad()` and during
 `backward`, BLAS runs the thread count it loaded with; everywhere else,
@@ -25,8 +25,10 @@ a byte of training.
 
 Where the math has a closed form it is one node: `layer_norm`,
 multi-head `attention` (head split, scores, softmax, mix and head merge
-over (N, T, D) projections), `Tensor.gelu` and `cross_entropy` (every
-softmax loss: both InfoNCE objectives and the classification probe).
+over (N, T, D) projections), `Tensor.gelu` and `cross_entropy` (both
+InfoNCE objectives). GELU's Phi and derivative and the cross-entropy
+gradient are plain numpy functions that the nodes call, and so does
+`gair.evalkit`'s probe, which takes its gradients without a graph.
 `matmul` takes only a (K, E) right-hand side, which every weight and
 similarity product is, and runs as one 2-D GEMM.
 
@@ -150,6 +152,26 @@ def _erf_f32(z: np.ndarray) -> np.ndarray:
     return out.reshape(z.shape)
 
 
+def _gelu_phi(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, so GELU(x) = x * Phi(x). Float64
+    takes erf from scipy; float32 uses `_erf_f32`, whose GELU stays within
+    1e-6 of scipy's."""
+    z = x * _INV_SQRT2
+    return 0.5 * (1.0 + (_erf_f32(z) if x.dtype == np.float32 else erf(z)))
+
+
+def _gelu_grad(x: np.ndarray, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * d/dx x Phi(x) = g * (Phi(x) + x exp(-x^2 / 2) / sqrt(2 pi)), in a
+    new array, with `phi` = `_gelu_phi(x)`."""
+    d = -0.5 * x * x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += phi
+    d *= g
+    return d
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -257,16 +279,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        out_vals = self.values - other.values
-
-        def bwd(g):
-            self._accumulate(_unbroadcast(g, self.shape))
-            other._accumulate(-_unbroadcast(g, other.shape))
-
-        return Tensor._make(out_vals, (self, other), bwd)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_vals = self.values * other.values
@@ -294,24 +306,14 @@ class Tensor:
     # -- elementwise functions ----------------------------------------------
 
     def gelu(self):
-        """Erf-based GELU, x * Phi(x). Float64 takes erf from scipy; float32
-        uses `_erf_f32`, whose GELU stays within 1e-6 of scipy's."""
+        """Erf-based GELU, x * Phi(x) (`_gelu_phi`)."""
         x = self.values
-        z = x * _INV_SQRT2
-        phi = 0.5 * (1.0 + (_erf_f32(z) if x.dtype == np.float32 else erf(z)))
-        out_vals = x * phi
+        phi = _gelu_phi(x)
 
         def bwd(g):
-            # d/dx x*Phi(x) = Phi(x) + x * exp(-x^2/2) / sqrt(2 pi)
-            d = -0.5 * x * x
-            np.exp(d, out=d)
-            d *= _INV_SQRT_2PI
-            d *= x
-            d += phi
-            d *= g
-            self._accumulate(d)
+            self._accumulate(_gelu_grad(x, phi, g))
 
-        return Tensor._make(out_vals, (self,), bwd)
+        return Tensor._make(x * phi, (self,), bwd)
 
     # -- shape manipulation --------------------------------------------------
 
@@ -346,12 +348,8 @@ class Tensor:
 
         return Tensor._make(out_vals, (self,), bwd)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.size
-        else:
-            n = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims).scale(1.0 / n)
+    def mean(self, axis, keepdims=False):
+        return self.sum(axis=axis, keepdims=keepdims).scale(1.0 / self.shape[axis])
 
 
 # -- free functions -----------------------------------------------------------
@@ -424,19 +422,28 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ShapeMismatchError(f"cross_entropy needs (n, K) logits and n targets, got {logits.shape} and {targets.shape}")
     if not np.issubdtype(targets.dtype, np.integer) or n and not (0 <= targets.min() and targets.max() < logits.shape[1]):
         raise ValueError(f"cross_entropy targets must be integers in [0, {logits.shape[1]})")
-    rows = np.arange(n)
-    shifted = _shifted_rows(logits.values, "cross_entropy")
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_vals = -(logp[rows, targets].sum() * (1.0 / n))
-    soft = np.exp(logp)
+    logp = _log_softmax(logits.values)
+    out_vals = -(logp[np.arange(n), targets].sum() * (1.0 / n))
 
     def bwd(g):
-        m = g * (1.0 / n)
-        d = soft * m
-        d[rows, targets] -= m
-        logits._accumulate(d)
+        logits._accumulate(_cross_entropy_grad(logp, targets, g * (1.0 / n)))
 
     return Tensor._make(out_vals, (logits,), bwd)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log softmax of each row of (n, K) logits, max-shifted; a NaN anywhere
+    in a row raises NumericError."""
+    shifted = _shifted_rows(logits, "cross_entropy")
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _cross_entropy_grad(logp: np.ndarray, targets: np.ndarray, m) -> np.ndarray:
+    """The gradient of m * sum_i -logp[i, targets[i]] with respect to the
+    logits, where logp = `_log_softmax(logits)`: (softmax - onehot) * m."""
+    d = np.exp(logp) * m
+    d[np.arange(len(targets)), targets] -= m
+    return d
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

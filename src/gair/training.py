@@ -320,7 +320,7 @@ def load_checkpoint(path) -> dict:
     require_keys(header, ("dtype", "step", "adam_t", "model", "train_config", "config_hash", "arrays"), "checkpoint header")
     require_keys(header["model"], ("rs", "sv", "loc", "seed"), "checkpoint model config")
     for key in ("step", "adam_t"):
-        if not isinstance(header[key], int) or header[key] < 0:
+        if type(header[key]) is not int or header[key] < 0:
             raise FormatError(f"checkpoint {key} must be a non-negative integer, not {header[key]!r}")
     dtype = header["dtype"]
     if not isinstance(dtype, str) or dtype not in _MODEL_DTYPES:
@@ -347,11 +347,11 @@ def load_checkpoint(path) -> dict:
     arrays, cursor = {}, 0
     for e in entries:
         name, shape = str(e["name"]), e["shape"]
-        if e["offset"] != cursor:
+        if type(e["offset"]) is not int or e["offset"] != cursor:
             raise FormatError(f"array {name} does not start where the previous array ends", offset=header_end + cursor)
         if e["dtype"] not in ("f4", "f8"):
             raise FormatError(f"unsupported dtype {e['dtype']!r} in array {name}")
-        if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)):
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise FormatError(f"array {name} has a malformed shape {shape!r}")
         # An empty bank is saved as (0, 0), a filled one as (rows, dim).
         bank_fits = name == "bank" and len(shape) == 2 and shape[0] <= bank.capacity and shape[1] == model.loc.config.dim

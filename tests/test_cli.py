@@ -123,6 +123,21 @@ class TestGenData:
         assert main(["--config", str(bad), "gen-data", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("payload, command", [([1, 2], "gen-data"), ("seedling", "pretrain"), (5, "resume")],
+                         ids=["list", "string", "number"])
+def test_config_that_is_not_an_object_is_usage_error(workspace, tmp_path, capsys, payload, command):
+    # gen-data used to ignore a list, a string failed on "string indices
+    # must be integers", and a number ended a resumed run in a traceback.
+    out = str(tmp_path / "o")
+    args = {"gen-data": ["gen-data", "--out", out],
+            "pretrain": ["pretrain", "--data", workspace["ds"], "--out", out],
+            "resume": ["pretrain", "--data", workspace["ds"], "--out", out, "--resume", workspace["ckpt"]]}[command]
+    capsys.readouterr()
+    assert main(["--config", write_config(tmp_path, "c.json", payload), *args]) == 2
+    assert "is not a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 class TestPretrain:
     def test_writes_checkpoint_and_metrics(self, workspace):
         assert os.path.exists(workspace["ckpt"])

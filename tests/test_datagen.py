@@ -354,6 +354,17 @@ class TestPersistence:
         with pytest.raises(FormatError):
             read_dataset(manifest_path)
 
+    def test_boolean_count_is_format_error(self, tmp_path):
+        # A JSON true is a Python int, and count true read one record.
+        cfg = small_cfg(count=1)
+        manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
+        manifest = json.loads(open(manifest_path).read())
+        manifest["count"] = True
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(FormatError, match="count must be a positive integer"):
+            read_dataset(manifest_path)
+
     def test_stored_layout_keys_are_ignored(self, tmp_path):
         # Manifests written before the layout was derived from the config
         # also stored it; the reader ignores those keys, whatever they hold.

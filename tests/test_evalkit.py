@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import gair.evalkit as evalkit
+from gair.datagen import _STREAM_PROBE, _stream
 from gair.evalkit import (
     HeatmapGrid,
     ProbeHead,
     fit_probe,
     geo_aware_predict,
-    geo_regression,
     heatmap_inr,
     heatmap_loc,
     retrieval_metrics,
@@ -17,7 +18,8 @@ from gair.evalkit import (
 )
 from gair.geo import GeoFootprint, GeoPoint, to_local
 from gair.inr import FThetaParams, inr_lookup, inr_query_batch, unfold3x3
-from gair.tensor import Tensor
+from gair.tensor import Tensor, backward, cross_entropy, enable_grad, matmul
+from gair.training import AdamW, TrainConfig
 
 
 def unit_rows(rng, n, d):
@@ -86,6 +88,11 @@ class TestRetrieval:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             retrieval_metrics(np.eye(2), np.zeros((0, 2)), np.array([0, 1]))
+
+    def test_empty_queries_rejected(self):
+        # It used to report NaN for every metric, with two RuntimeWarnings.
+        with pytest.raises(ValueError, match="empty query set"):
+            retrieval_metrics(np.zeros((0, 2)), np.eye(2), np.zeros(0, dtype=int))
 
     # Three identical unit rows tie everywhere, so only the tie rule ranks
     # them: truth [0, 1, 2] gives recall@1 1/3. A negative index used to
@@ -176,6 +183,82 @@ class TestFitProbe:
             fit_probe(x, np.asarray(labels)[y], kind="linear", seed=0)
 
 
+def graph_probe(embeddings, labels, kind, task, seed=0):
+    """`fit_probe` as the autodiff graph ran it: the head's logits, then
+    `cross_entropy` or the mean squared error, `backward` and AdamW, with
+    the recipe `evalkit` holds."""
+    rng = _stream(seed, _STREAM_PROBE)
+    n = len(embeddings)
+    n_val = max(1, int(n * evalkit._PROBE_VAL_FRACTION))
+    x_tr, x_va = embeddings[: n - n_val], embeddings[n - n_val :]
+    y_tr, y_va = labels[: n - n_val], labels[n - n_val :]
+    d_out = int(np.max(labels)) + 1 if task == "classification" else 1
+    head = ProbeHead.init(kind, embeddings.shape[1], d_out, rng)
+    p = head.params
+
+    def logits(x):
+        if kind == "linear":
+            return matmul(x, p["w"]) + p["b"]
+        return matmul((matmul(x, p["w1"]) + p["b1"]).gelu(), p["w2"]) + p["b2"]
+
+    optimizer = AdamW(p, TrainConfig(weight_decay=0.0))
+    for _ in range(evalkit._PROBE_EPOCHS):
+        perm = rng.permutation(len(x_tr))
+        for s in range(0, len(x_tr), evalkit._PROBE_BATCH):
+            idx = perm[s : s + evalkit._PROBE_BATCH]
+            with enable_grad():
+                out = logits(Tensor(x_tr[idx].astype(np.float64)))
+                if task == "classification":
+                    loss = cross_entropy(out, y_tr[idx])
+                else:
+                    diff = out.reshape(len(idx)) + Tensor(-y_tr[idx].astype(np.float64))
+                    loss = (diff * diff).sum().scale(1 / len(idx))
+            optimizer.zero_grad()
+            backward(loss)
+            optimizer.step(evalkit._PROBE_LR)
+    pred = logits(Tensor(x_va)).values
+    if task == "classification":
+        return head, float(np.mean(np.argmax(pred, axis=1) == y_va))
+    return head, float(np.sqrt(np.mean((pred.reshape(-1) - y_va) ** 2)))
+
+
+def probe_data(task, n=300, d=12, seed=4):
+    """float32 embeddings, as the encoders give them, and labels that
+    depend on them: 3 classes, or a noisy linear target."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)).astype(np.float32)
+    if task == "classification":
+        return x, np.digitize(x[:, 0] + 0.5 * x[:, 1], [-0.5, 0.5])
+    return x, x[:, :3].astype(np.float64) @ [1.0, -2.0, 0.5] + 0.1 * rng.normal(size=n)
+
+
+PROBE_CASES = [(kind, task) for kind in ("linear", "nonlinear") for task in ("classification", "regression")]
+
+
+class TestProbeGradients:
+    @pytest.mark.parametrize("kind, task", PROBE_CASES)
+    def test_matches_the_graph_bit_for_bit(self, monkeypatch, kind, task):
+        monkeypatch.setattr(evalkit, "_PROBE_EPOCHS", 3)
+        x, y = probe_data(task)
+        head, metric = fit_probe(x, y, kind=kind, task=task, seed=0)
+        ref, ref_metric = graph_probe(x, y, kind, task, seed=0)
+        assert sorted(head.params) == sorted(ref.params)
+        for name, t in head.params.items():
+            assert np.array_equal(t.values, ref.params[name].values), name
+        assert metric == ref_metric
+
+    @pytest.mark.parametrize("kind, task", PROBE_CASES)
+    def test_fit_records_no_graph(self, monkeypatch, kind, task):
+        def no_graph(*args):
+            raise AssertionError("fit_probe built an autodiff node")
+
+        monkeypatch.setattr(evalkit, "_PROBE_EPOCHS", 2)
+        monkeypatch.setattr(Tensor, "_make", staticmethod(no_graph))
+        x, y = probe_data(task)
+        _, metric = fit_probe(x, y, kind=kind, task=task, seed=0)
+        assert math.isfinite(metric)
+
+
 class TestGeoAwarePredict:
     def test_uniform_prior_preserves_argmax(self):
         rng = np.random.default_rng(0)
@@ -214,28 +297,8 @@ class TestGeoAwarePredict:
 
 
 class TestGeoRegression:
-    def head(self, w, b):
-        return ProbeHead(kind="linear", params={"w": Tensor(np.asarray(w, dtype=np.float64)),
-                                                "b": Tensor(np.asarray(b, dtype=np.float64))})
-
-    def test_zero_weights_return_bias(self):
-        h = self.head(np.zeros((6, 1)), [2.5])
-        assert geo_regression(np.ones(3), np.ones(3), h) == 2.5
-
-    def test_masked_location_branch(self):
-        rng = np.random.default_rng(0)
-        w = np.zeros((6, 1))
-        w[:3, 0] = rng.normal(size=3)
-        h = self.head(w, [0.0])
-        img = rng.normal(size=3)
-        a = geo_regression(img, rng.normal(size=3), h)
-        b = geo_regression(img, rng.normal(size=3), h)
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_width_mismatch_rejected(self):
-        h = self.head(np.zeros((6, 1)), [0.0])
-        with pytest.raises(ValueError):
-            geo_regression(np.ones(3), np.ones(4), h)
+    """Regression over the concatenated image and location embeddings is a
+    regression probe on their concatenation."""
 
     def test_concat_head_beats_image_only(self):
         # planted target depends on both embeddings; paired probes, same seed

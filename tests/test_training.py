@@ -573,9 +573,15 @@ class TestCheckpoint:
         (lambda h: h.update(config_hash="0" * 16), "config_hash"),
         (lambda h: h["train_config"].update(grad_clip=1.0), "config_hash"),
         (lambda h: h["model"].update(seed=12345), "config_hash"),
+        # JSON booleans are Python ints: step true loaded as step True,
+        # adam_t true as t = 1, and offset false passed as 0.
+        (lambda h: h.update(step=True), "step"),
+        (lambda h: h.update(adam_t=True), "adam_t"),
+        (lambda h: h["arrays"][0].update(offset=False), "does not start"),
+        (lambda h: h["arrays"][0].update(shape=[True, *h["arrays"][0]["shape"]]), "malformed shape"),
     ], ids=["str-offset", "negative-offset", "overlapping-offset", "str-shape", "negative-dim", "wrong-shape",
             "wrong-bank-shape", "arrays-not-list", "str-adam-t", "str-step", "negative-step", "wrong-hash", "edited-config",
-            "edited-model-seed"])
+            "edited-model-seed", "bool-step", "bool-adam-t", "bool-offset", "bool-dim"])
     def test_malformed_header_is_format_error(self, tmp_path, edit_checkpoint_header, edit, match):
         _, _, _, _, path = self.run_short(tmp_path)
         edit_checkpoint_header(path, edit)
