@@ -12,7 +12,7 @@ from .tensor import Tensor, backward, enable_grad, grad_check
 from .geo import GeoPoint, GeoFootprint, LocalCoord, to_local, local_uv, local_lonlat, cell_centers, equal_earth
 from .encoders import EncoderConfig, LocEncoderConfig, ImageEncoder, LocationEncoder, rff_features
 from .inr import FThetaParams, unfold3x3, ensemble_weights, f_theta, inr_query_batch, inr_lookup
-from .objectives import LossConfig, MemoryBank, sim_matrix, incl_loss, secl_loss, combined_loss
+from .objectives import LossConfig, MemoryBank, incl_loss, secl_loss, combined_loss
 from .datagen import DataConfig, build_world, generate_records, write_dataset, read_dataset, make_batch
 from .training import TrainConfig, Model, AdamW, lr_at, train, train_step, save_checkpoint, load_checkpoint
 from . import evalkit

@@ -10,7 +10,8 @@ steps run it at the count it loaded with. To cap that count, set
 OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, depending on the BLAS build) in
 the environment before starting the command; BLAS reads it once, when
 numpy loads. Forward-only work spreads blocks over one thread per usable
-core, which `taskset` caps.
+core, which `taskset` caps. `gair --help` prints `_DESCRIPTION`, the
+user-facing summary, not this docstring.
 """
 
 from __future__ import annotations
@@ -89,8 +90,30 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+_DESCRIPTION = """\
+Contrastive pretraining of geospatially aligned remote-sensing, street-view
+and location encoders on a synthetic dataset.
+
+commands: gen-data writes a dataset; pretrain trains on it and writes
+checkpoints; evaluate reports a checkpoint's retrieval metrics and probes;
+heatmap writes a similarity heatmap around one sample; gradcheck audits
+every gradient against finite differences.
+
+exit codes: 0 success, 1 check failure, 2 usage error or an output that
+cannot be written, 3 data or format error (including an input that cannot
+be read), 4 numeric divergence.
+
+--config FILE names a JSON object that may give any flag's value; flags on
+the command line win.
+
+OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, depending on the BLAS build) caps
+the threads BLAS runs in training steps; set it before the command starts.
+"""
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gair", description=__doc__)
+    parser = argparse.ArgumentParser(prog="gair", description=_DESCRIPTION,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import FormatError, _replacing, require_keys
+from .errors import FormatError, _replacing, check_number_fields, require_keys
 from .geo import GeoFootprint, GeoPoint, OutOfFootprintError, inside, local_lonlat, local_uv
 from .parallel import for_each_block
 
@@ -97,15 +97,16 @@ class DataConfig:
     inr_hull_margin: float = 0.125  # half-patch margin fraction (1/P)
 
     def __post_init__(self):
+        check_number_fields(self)
         # np.gradient needs rs_size >= 2; a Philox key needs seed >= 0.
         lows = {"seed": 0, "count": 1, "rs_channels": 1, "rs_size": 2, "sv_size": 1, "temporal_variants": 1, "modes": 1}
         for name, low in lows.items():
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < low:
+            if getattr(self, name) < low:
                 raise ValueError(f"{name} must be an integer >= {low}, not {getattr(self, name)!r}")
         if not 0 < self.footprint_deg <= self.region_deg < math.inf:
             raise ValueError("need 0 < footprint_deg <= region_deg < inf")
-        if not (0 <= self.inr_hull_margin < 1 and all(s >= 0 for s in (self.sigma_rs, self.sigma_sv, self.sigma_temporal))):
-            raise ValueError("need 0 <= inr_hull_margin < 1 and sigma_rs, sigma_sv, sigma_temporal >= 0")
+        if not (0 <= self.inr_hull_margin < 1 and all(0 <= s < math.inf for s in (self.sigma_rs, self.sigma_sv, self.sigma_temporal))):
+            raise ValueError("need 0 <= inr_hull_margin < 1 and finite sigma_rs, sigma_sv, sigma_temporal >= 0")
         self.region()  # raises ValueError for a region past a pole or across the antimeridian
 
     def region(self) -> GeoFootprint:

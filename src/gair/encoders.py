@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_number_fields
 from .geo import equal_earth_rescaled_batch
 from .parallel import blas_pinned, for_each_block, row_blocks, usable_cores
 from .tensor import Tensor, attention, grad_enabled, l2_normalize_rows, layer_norm, matmul
@@ -46,6 +47,7 @@ class EncoderConfig:
     ff_width: int = 128
 
     def __post_init__(self):
+        check_number_fields(self)
         for name in ("channels", "image_size", "patch_size", "dim", "depth", "heads", "ff_width"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
@@ -72,11 +74,14 @@ class LocEncoderConfig:
     dim: int = 64
 
     def __post_init__(self):
+        check_number_fields(self)
         for name in ("freqs", "hidden", "dim"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, not {self.sigma!r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, not {self.sigma!r}")
+        if not math.isfinite(self.sigma_min):
+            raise ValueError(f"sigma_min must be finite, not {self.sigma_min!r}")
 
 
 class ImageEncoder:

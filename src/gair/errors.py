@@ -1,7 +1,9 @@
-"""Shared error types for file formats and run-level failures, and the atomic file replace."""
+"""Shared error types for file formats and run-level failures, the type
+check of config fields, and the atomic file replace."""
 
 import os
 from contextlib import contextmanager
+from typing import get_type_hints
 
 
 class FormatError(Exception):
@@ -21,6 +23,16 @@ def require_keys(obj, keys, what: str) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise FormatError(f"{what} lacks {', '.join(missing)}")
+
+
+def check_number_fields(config) -> None:
+    """Raise TypeError unless each `int` field of the dataclass `config`
+    holds an int and each `float` field an int or a float. A bool is
+    neither, so a JSON true in an artifact cannot pass as 1."""
+    for name, kind in get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, kind))):
+            raise TypeError(f"{name} must be {'an integer' if kind is int else 'a number'}, not {value!r}")
 
 
 @contextmanager

@@ -1,6 +1,17 @@
 """Contrastive objectives: symmetric InfoNCE between localized RS and SV
 embeddings, the location-anchored loss with a FIFO memory bank of past
-location embeddings, and their weighted combination."""
+location embeddings, and their weighted combination.
+
+Each InfoNCE loss is one graph node in closed form: its forward pass
+computes the logits and their log-softmax in numpy, and its backward pass
+takes each term's logit gradient, softmax minus the targets' one-hot,
+from `gair.tensor`'s cross-entropy helpers, scales it by 1 / tau and
+applies one matrix product per input. Both losses take batches of n > 0
+unit-norm rows of one width and raise ShapeMismatchError, ValueError
+(empty batch) or ContractError (rows not unit-norm) otherwise; NaN
+logits raise NumericError. The bank's rows take part in the forward pass
+only, as a numpy array.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, Tensor, concat, cross_entropy, matmul
+from .errors import check_number_fields
+from .tensor import ContractError, ShapeMismatchError, Tensor, _cross_entropy_grad, _log_softmax, _mean_nll
 
-__all__ = ["LossConfig", "MemoryBank", "sim_matrix", "incl_loss", "secl_loss", "combined_loss"]
+__all__ = ["LossConfig", "MemoryBank", "incl_loss", "secl_loss", "combined_loss"]
 
 
 @dataclass
@@ -21,8 +33,9 @@ class LossConfig:
     bank_capacity: int = 4096
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"temperature must be positive, not {self.tau!r}")
+        check_number_fields(self)
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"temperature must be positive and finite, not {self.tau!r}")
         if not 0 <= self.lambda_secl < math.inf:
             raise ValueError(f"lambda_secl must be finite and non-negative, not {self.lambda_secl!r}")
         if self.bank_capacity < 1:
@@ -79,20 +92,43 @@ def _check_unit_rows(rows: np.ndarray, what: str):
         raise ContractError(f"{what} rows are not unit-norm (max deviation {np.max(deviation):.2e})")
 
 
-def sim_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities of unit-norm rows: (n, D) x (m, D) -> (n, m)."""
-    _check_unit_rows(a.values, "sim_matrix lhs")
-    _check_unit_rows(b.values, "sim_matrix rhs")
-    return matmul(a, b.transpose())
+def _check_batch(*named) -> int:
+    """The batch size n of (name, Tensor) pairs. Raises ShapeMismatchError
+    unless all are (n, D) of one shape, ValueError if n is 0, and
+    ContractError unless every row is unit-norm."""
+    shape = named[0][1].shape
+    if any(x.ndim != 2 or x.shape != shape for _, x in named):
+        raise ShapeMismatchError("the losses need batches of one shape (n, D): "
+                                 + ", ".join(f"{what} {x.shape}" for what, x in named))
+    if shape[0] == 0:
+        raise ValueError("empty batch")
+    for what, x in named:
+        _check_unit_rows(x.values, what)
+    return shape[0]
 
 
 def incl_loss(z_q: Tensor, g_s: Tensor, tau: float) -> Tensor:
-    """Symmetric InfoNCE between matched localized-RS and SV embeddings."""
-    if z_q.shape[0] == 0:
-        raise ValueError("empty batch")
-    logits = sim_matrix(z_q, g_s).scale(1.0 / tau)
-    matched = np.arange(z_q.shape[0])
-    return (cross_entropy(logits, matched) + cross_entropy(logits.transpose(), matched)).scale(0.5)
+    """Symmetric InfoNCE between matched localized-RS and SV embeddings.
+
+    One node over the logits L = z g^T / tau, z and g the rows of z_q and
+    g_s: the mean of the row-wise and the column-wise cross-entropy, each
+    with targets on the diagonal. Its backward pass sums the two logit
+    gradients, (softmax - I) / 2n times the incoming gradient, scales the
+    sum by 1 / tau to d, and passes back dz = d g and dg = (z^T d)^T."""
+    n = _check_batch(("localized RS embeddings", z_q), ("SV embeddings", g_s))
+    c = float(1.0 / tau)
+    z, g = z_q.values, g_s.values
+    logits = (z @ g.T) * c
+    logp_rs, logp_sv = _log_softmax(logits), _log_softmax(logits.T)
+    matched = np.arange(n)
+
+    def bwd(grad):
+        m = grad * 0.5 * (1.0 / n)
+        d = (_cross_entropy_grad(logp_rs, matched, m) + _cross_entropy_grad(logp_sv, matched, m).T) * c
+        z_q._accumulate(d @ g)
+        g_s._accumulate((z.T @ d).T)
+
+    return Tensor._make((_mean_nll(logp_rs, matched) + _mean_nll(logp_sv, matched)) * 0.5, (z_q, g_s), bwd)
 
 
 def secl_loss(e_x: Tensor, z_q: Tensor, g_s: Tensor, bank: MemoryBank, tau: float) -> Tensor:
@@ -101,22 +137,29 @@ def secl_loss(e_x: Tensor, z_q: Tensor, g_s: Tensor, bank: MemoryBank, tau: floa
     For each anchor (z or g), the positive is its colocated current-batch
     location embedding; the denominator additionally ranges over stored
     past location embeddings, which receive no gradient. The stored rows
-    were checked unit-norm when they entered the bank.
+    were checked unit-norm when they entered the bank. One node: each
+    anchor's logit gradient, (softmax - onehot) / 2n times the incoming
+    gradient and scaled by 1 / tau, goes through one product per input;
+    the location embeddings read only its first n columns, those of the
+    current batch.
     """
-    n = e_x.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    for x, what in ((e_x, "location embeddings"), (z_q, "localized RS embeddings"), (g_s, "SV embeddings")):
-        _check_unit_rows(x.values, what)
+    n = _check_batch(("location embeddings", e_x), ("localized RS embeddings", z_q), ("SV embeddings", g_s))
+    c = float(1.0 / tau)
+    e, z, g = e_x.values, z_q.values, g_s.values
     stored = bank.snapshot()
-    candidates = e_x
-    if stored.size:
-        candidates = concat([e_x, Tensor(stored.astype(e_x.dtype))], axis=0)
-    candidates_t = candidates.transpose()
-    logits_rs = matmul(z_q, candidates_t).scale(1.0 / tau)
-    logits_sv = matmul(g_s, candidates_t).scale(1.0 / tau)
+    candidates = np.concatenate([e, stored.astype(e.dtype)]) if stored.size else e
+    logp_rs, logp_sv = _log_softmax((z @ candidates.T) * c), _log_softmax((g @ candidates.T) * c)
     matched = np.arange(n)
-    return (cross_entropy(logits_rs, matched) + cross_entropy(logits_sv, matched)).scale(0.5)
+
+    def bwd(grad):
+        m = grad * 0.5 * (1.0 / n)
+        d_rs = _cross_entropy_grad(logp_rs, matched, m) * c
+        d_sv = _cross_entropy_grad(logp_sv, matched, m) * c
+        z_q._accumulate(d_rs @ candidates)
+        g_s._accumulate(d_sv @ candidates)
+        e_x._accumulate((z.T @ d_rs[:, :n] + g.T @ d_sv[:, :n]).T)
+
+    return Tensor._make((_mean_nll(logp_rs, matched) + _mean_nll(logp_sv, matched)) * 0.5, (e_x, z_q, g_s), bwd)
 
 
 def combined_loss(incl: Tensor, secl: Tensor, lambda_secl: float) -> Tensor:

@@ -1,10 +1,12 @@
 """Dense-tensor arithmetic with reverse-mode automatic differentiation.
 
 Small numpy-backed engine holding exactly the ops the model runs: the
-patch-transformer encoders, the location MLP and the contrastive losses,
-each validated against finite differences. The continuous feature lookup
-builds its one node on `Tensor._make` in `gair.inr`. Tensors are not
-indexed: a gather is part of the closed-form node that needs it.
+patch-transformer encoders and the location MLP, each validated against
+finite differences. The continuous feature lookup and each contrastive
+loss build their one node on `Tensor._make`, in `gair.inr` and
+`gair.objectives`. Tensors are neither indexed, transposed nor
+concatenated: a gather, transpose or concatenation is part of the
+closed-form node that needs it.
 
 The graph is opt-in. Inside `with enable_grad():` an op whose parent
 requires grad records its parents and a closure that accumulates gradients
@@ -25,12 +27,13 @@ a byte of training.
 
 Where the math has a closed form it is one node: `layer_norm`,
 multi-head `attention` (head split, scores, softmax, mix and head merge
-over (N, T, D) projections), `Tensor.gelu` and `cross_entropy` (both
-InfoNCE objectives). GELU's Phi and derivative and the cross-entropy
-gradient are plain numpy functions that the nodes call, and so does
-`gair.evalkit`'s probe, which takes its gradients without a graph.
-`matmul` takes only a (K, E) right-hand side, which every weight and
-similarity product is, and runs as one 2-D GEMM.
+over (N, T, D) projections), `Tensor.gelu` and `cross_entropy`. GELU's
+Phi and derivative and the log-softmax and cross-entropy gradient are
+plain numpy functions that the nodes call. The InfoNCE nodes of
+`gair.objectives` and `gair.evalkit`'s probe, which takes its gradients
+without a graph, call the cross-entropy ones too, so `cross_entropy` is
+their reference; no model op runs it. `matmul` takes only a (K, E)
+right-hand side, which every weight product is, and runs as one 2-D GEMM.
 
 Dtype contract: an op computes in the dtype of its inputs. GELU's erf is
 the one place the two dtypes differ in method: float64 takes
@@ -58,7 +61,6 @@ __all__ = [
     "ContractError",
     "enable_grad",
     "grad_enabled",
-    "concat",
     "matmul",
     "cross_entropy",
     "layer_norm",
@@ -327,14 +329,6 @@ class Tensor:
 
         return Tensor._make(self.values.reshape(shape), (self,), bwd)
 
-    def transpose(self):
-        """The matrix transpose; in general, the axes reversed."""
-
-        def bwd(g):
-            self._accumulate(g.T)
-
-        return Tensor._make(self.values.T, (self,), bwd)
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -370,19 +364,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(a2.T @ g2)
 
     return Tensor._make(out_vals, (a, b), bwd)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = list(tensors)
-    out_vals = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
-
-    return Tensor._make(out_vals, tuple(tensors), bwd)
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -423,7 +404,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if not np.issubdtype(targets.dtype, np.integer) or n and not (0 <= targets.min() and targets.max() < logits.shape[1]):
         raise ValueError(f"cross_entropy targets must be integers in [0, {logits.shape[1]})")
     logp = _log_softmax(logits.values)
-    out_vals = -(logp[np.arange(n), targets].sum() * (1.0 / n))
+    out_vals = _mean_nll(logp, targets)
 
     def bwd(g):
         logits._accumulate(_cross_entropy_grad(logp, targets, g * (1.0 / n)))
@@ -436,6 +417,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     in a row raises NumericError."""
     shifted = _shifted_rows(logits, "cross_entropy")
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _mean_nll(logp: np.ndarray, targets: np.ndarray):
+    """Mean over the rows of -logp[i, targets[i]], with logp =
+    `_log_softmax(logits)`: the cross-entropy's value."""
+    return -(logp[np.arange(len(targets)), targets].sum() * (1.0 / len(targets)))
 
 
 def _cross_entropy_grad(logp: np.ndarray, targets: np.ndarray, m) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import _STREAM_AUGMENT_BASE, _STREAM_EPOCH_BASE, _STREAM_MODEL_INIT, TripleBatch, _stream, make_batch
 from .encoders import EncoderConfig, ImageEncoder, LocEncoderConfig, LocationEncoder
-from .errors import FormatError, _replacing, require_keys
+from .errors import FormatError, _replacing, check_number_fields, require_keys
 from .inr import FThetaParams, inr_lookup
 from .objectives import LossConfig, MemoryBank, combined_loss, incl_loss, secl_loss
 from .tensor import ContractError, Tensor, backward, enable_grad
@@ -45,9 +45,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed", "eval_every"):
-            if not isinstance(getattr(self, name), int):
-                raise TypeError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        check_number_fields(self)
         if self.schedule not in ("cosine", "constant"):
             raise ValueError(f"schedule must be 'cosine' or 'constant', not {self.schedule!r}")
         if self.batch_size < 2:
@@ -60,10 +58,10 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)!r}")
         for name in ("base_lr", "weight_decay", "grad_clip"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative, not {getattr(self, name)!r}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, not {self.eps!r}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, not {getattr(self, name)!r}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, not {self.eps!r}")
         if isinstance(self.loss, dict):
             self.loss = LossConfig(**self.loss)
         if self.loss.bank_capacity < self.batch_size:

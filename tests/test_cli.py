@@ -86,6 +86,7 @@ class TestGenData:
         # An integer field rejects a fractional number or a bool instead of truncating it,
         # and a float field rejects a bool instead of reading it as 1.0.
         {"count": 2.7, "rs_size": 16.9}, {"count": True}, {"footprint_deg": True},
+        {"sigma_rs": math.inf},
     ], ids=lambda edit: "-".join(f"{k}={v}" for k, v in edit.items()))
     def test_rejected_dataset_value_is_usage_error(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path, "d.json", {**TINY_DATA, "count": 4, **edit})
@@ -290,12 +291,17 @@ class TestPretrain:
 
     @pytest.mark.parametrize("flags", [["--batch-size", "1"], ["--warmup", "1.5"], ["--tau", "0"], ["--tau", "nan"],
                                        ["--lambda", "nan"], ["--lambda", "-1"], ["--epochs", "-1"], ["--eval-every", "-1"],
-                                       ["--bank-capacity", "2"], ["--batch-size", "13"]])
+                                       ["--bank-capacity", "2"], ["--batch-size", "13"],
+                                       # --tau inf trained with every logit 0, --rff-sigma inf ended in a
+                                       # ContractError traceback, --lr inf and --weight-decay inf in exit 4.
+                                       ["--tau", "inf"], ["--rff-sigma", "inf"], ["--rff-sigma-min", "nan"],
+                                       ["--lr", "inf"], ["--weight-decay", "inf"]])
     def test_rejected_training_value_is_usage_error(self, tmp_path, workspace, capsys, flags):
         cfg = write_config(tmp_path, "t.json", {**TINY_DATA, **TINY_TRAIN})
         rc = main(["--config", cfg, "pretrain", "--data", workspace["ds"], "--out", str(tmp_path / "o"), *flags])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit, message", [
         ({"epochs": 0.5, "batch_size": 2.9}, "must be an integer"), ({"dim": 16.5}, "must be an integer"),
@@ -573,6 +579,16 @@ class TestGradcheck:
 class TestUsage:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+    def test_help_is_not_the_module_docstring(self, capsys, monkeypatch):
+        import gair.cli as cli
+
+        assert main(["--help"]) == 0
+        shown = capsys.readouterr().out
+        assert all(part in shown for part in ("gen-data", "exit codes", "--config", "OPENBLAS_NUM_THREADS"))
+        monkeypatch.setattr(cli, "__doc__", "Developer notes on the module.")
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == shown
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2

@@ -365,6 +365,17 @@ class TestPersistence:
         with pytest.raises(FormatError, match="count must be a positive integer"):
             read_dataset(manifest_path)
 
+    def test_boolean_config_values_are_format_error(self, tmp_path):
+        # JSON true is a Python int: seed true and modes true read 8 records.
+        cfg = small_cfg(count=8)
+        manifest_path = write_dataset(generate_records(cfg), tmp_path / "ds", cfg)
+        manifest = json.loads(open(manifest_path).read())
+        manifest["config"].update(seed=True, modes=True)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(FormatError, match="malformed manifest config: seed must be an integer"):
+            read_dataset(manifest_path)
+
     def test_stored_layout_keys_are_ignored(self, tmp_path):
         # Manifests written before the layout was derived from the config
         # also stored it; the reader ignores those keys, whatever they hold.

@@ -10,9 +10,19 @@ from gair.objectives import (
     combined_loss,
     incl_loss,
     secl_loss,
-    sim_matrix,
 )
-from gair.tensor import ContractError, Tensor, backward, enable_grad, grad_check, l2_normalize_rows
+from gair.tensor import (
+    ContractError,
+    NumericError,
+    ShapeMismatchError,
+    Tensor,
+    backward,
+    cross_entropy,
+    enable_grad,
+    grad_check,
+    l2_normalize_rows,
+    matmul,
+)
 
 
 def unit_rows(rng, n, d):
@@ -76,7 +86,7 @@ class TestMemoryBank:
                 bank.load_state(rows)
         assert len(bank) == 0
         with pytest.raises(ContractError):
-            sim_matrix(Tensor(nan_rows), Tensor(nan_rows))
+            incl_loss(Tensor(nan_rows), Tensor(nan_rows), tau=0.1)
 
     def test_snapshot_is_read_only_and_kept_by_later_pushes(self):
         rng = np.random.default_rng(2)
@@ -109,22 +119,6 @@ class TestMemoryBank:
         clone = MemoryBank(capacity=8)
         clone.load_state(bank.snapshot())
         assert np.array_equal(bank.snapshot(), clone.snapshot())
-
-
-class TestSimMatrix:
-    def test_identity_pairs(self):
-        a = Tensor(orthonormal_rows(3, 4))
-        s = sim_matrix(a, a)
-        assert np.allclose(s.values, np.eye(3))
-
-    def test_known_angle(self):
-        a = Tensor(np.array([[1.0, 0.0]]))
-        b = Tensor(np.array([[math.cos(0.3), math.sin(0.3)]]))
-        assert abs(sim_matrix(a, b).values[0, 0] - math.cos(0.3)) < 1e-12
-
-    def test_non_unit_rows_rejected(self):
-        with pytest.raises(ContractError):
-            sim_matrix(Tensor(np.array([[2.0, 0.0]])), Tensor(np.array([[1.0, 0.0]])))
 
 
 class TestInclLoss:
@@ -165,6 +159,10 @@ class TestInclLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             incl_loss(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), tau=0.1)
+
+    def test_non_unit_rows_rejected(self):
+        with pytest.raises(ContractError):
+            incl_loss(Tensor(np.array([[2.0, 0.0]])), Tensor(np.array([[1.0, 0.0]])), tau=0.1)
 
     def test_gradients(self):
         rng = np.random.default_rng(5)
@@ -261,3 +259,121 @@ class TestCombinedLoss:
         v2 = float(combined_loss(a, b, 2.0).values)
         v3 = float(combined_loss(a, b, 3.0).values)
         assert v3 - v2 == pytest.approx(v2 - v1, abs=1e-12)
+
+
+def transpose_node(x):
+    """The matrix transpose as the graph node the losses used to record."""
+
+    def bwd(g):
+        x._accumulate(g.T)
+
+    return Tensor._make(x.values.T, (x,), bwd)
+
+
+def concat_rows_node(tensors):
+    """Row concatenation as the graph node the location loss used to record."""
+    splits = np.cumsum([t.shape[0] for t in tensors])[:-1]
+
+    def bwd(g):
+        for t, piece in zip(tensors, np.split(g, splits, axis=0)):
+            t._accumulate(piece)
+
+    return Tensor._make(np.concatenate([t.values for t in tensors], axis=0), tuple(tensors), bwd)
+
+
+def chain_incl(z_q, g_s, tau):
+    """incl_loss as a chain of primitive nodes, as it was computed before it
+    became one node."""
+    logits = matmul(z_q, transpose_node(g_s)).scale(1.0 / tau)
+    matched = np.arange(z_q.shape[0])
+    return (cross_entropy(logits, matched) + cross_entropy(transpose_node(logits), matched)).scale(0.5)
+
+
+def chain_secl(e_x, z_q, g_s, bank, tau):
+    """secl_loss as a chain of primitive nodes, the bank rows a constant leaf."""
+    stored = bank.snapshot()
+    candidates = concat_rows_node([e_x, Tensor(stored.astype(e_x.dtype))]) if stored.size else e_x
+    candidates_t = transpose_node(candidates)
+    logits_rs = matmul(z_q, candidates_t).scale(1.0 / tau)
+    logits_sv = matmul(g_s, candidates_t).scale(1.0 / tau)
+    matched = np.arange(e_x.shape[0])
+    return (cross_entropy(logits_rs, matched) + cross_entropy(logits_sv, matched)).scale(0.5)
+
+
+class TestOneNodeLosses:
+    """Each loss is one node whose value and input gradients equal those of
+    the primitive-node chain bit for bit, at the training step's shapes."""
+
+    @pytest.mark.parametrize("bank_rows", [0, 4096], ids=["empty-bank", "full-bank"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_and_gradients_equal_the_chain(self, dtype, bank_rows):
+        rng = np.random.default_rng(43)
+        n, d, tau, lam = 64, 64, 0.07, 0.5
+        rows = [unit_rows(rng, n, d).astype(dtype) for _ in range(3)]
+        bank = MemoryBank(capacity=4096)
+        if bank_rows:
+            bank.push(unit_rows(rng, bank_rows, d))
+
+        def run(incl, secl, which):
+            e_x, z_q, g_s = (Tensor(r, requires_grad=True) for r in rows)
+            with enable_grad():
+                loss = {"incl": lambda: incl(z_q, g_s, tau),
+                        "secl": lambda: secl(e_x, z_q, g_s, bank, tau),
+                        "combined": lambda: combined_loss(incl(z_q, g_s, tau), secl(e_x, z_q, g_s, bank, tau), lam)}[which]()
+            backward(loss)
+            return [loss.values, e_x.grad, z_q.grad, g_s.grad]
+
+        for which in ("incl", "secl", "combined"):
+            fused, chain = run(incl_loss, secl_loss, which), run(chain_incl, chain_secl, which)
+            for name, a, b in zip(("value", "e_x", "z_q", "g_s"), fused, chain):
+                if which == "incl" and name == "e_x":
+                    assert a is None and b is None
+                    continue
+                assert a.dtype == dtype and np.array_equal(a, b), f"{which} {name}"
+
+    def test_one_node_per_loss(self):
+        rng = np.random.default_rng(44)
+        e_x, z_q, g_s = (Tensor(unit_rows(rng, 4, 8), requires_grad=True) for _ in range(3))
+        bank = MemoryBank(capacity=8)
+        bank.push(unit_rows(rng, 8, 8))
+        with enable_grad():
+            incl, secl = incl_loss(z_q, g_s, 0.1), secl_loss(e_x, z_q, g_s, bank, 0.1)
+        assert incl._parents == (z_q, g_s) and secl._parents == (e_x, z_q, g_s)
+
+
+def _unit(n, d):
+    return Tensor(unit_rows(np.random.default_rng(10 * n + d), n, d))
+
+
+def _bank():
+    bank = MemoryBank(capacity=8)
+    bank.push(unit_rows(np.random.default_rng(2), 4, 8))
+    return bank
+
+
+_NAN_ROWS = np.full((4, 8), math.nan)
+
+# Each input raises the exception type that the primitive-node chain raised.
+_BAD_BATCHES = {
+    "incl-sizes": (lambda: incl_loss(_unit(4, 8), _unit(6, 8), 0.1), ShapeMismatchError),
+    "incl-widths": (lambda: incl_loss(_unit(4, 8), _unit(4, 6), 0.1), ShapeMismatchError),
+    "incl-empty": (lambda: incl_loss(_unit(0, 8), _unit(0, 8), 0.1), ValueError),
+    "incl-non-unit": (lambda: incl_loss(_unit(4, 8), Tensor(2.0 * _unit(4, 8).values), 0.1), ContractError),
+    "incl-nan-rows": (lambda: incl_loss(Tensor(_NAN_ROWS), _unit(4, 8), 0.1), ContractError),
+    "incl-nan-logits": (lambda: incl_loss(_unit(4, 8), _unit(4, 8), math.nan), NumericError),
+    "secl-sizes": (lambda: secl_loss(_unit(4, 8), _unit(3, 8), _unit(4, 8), _bank(), 0.1), ShapeMismatchError),
+    "secl-widths": (lambda: secl_loss(_unit(4, 8), _unit(4, 8), _unit(4, 6), _bank(), 0.1), ShapeMismatchError),
+    "secl-empty": (lambda: secl_loss(_unit(0, 8), _unit(0, 8), _unit(0, 8), _bank(), 0.1), ValueError),
+    "secl-non-unit": (lambda: secl_loss(Tensor(2.0 * _unit(4, 8).values), _unit(4, 8), _unit(4, 8), _bank(), 0.1),
+                      ContractError),
+    "secl-nan-rows": (lambda: secl_loss(_unit(4, 8), _unit(4, 8), Tensor(_NAN_ROWS), _bank(), 0.1), ContractError),
+    "secl-nan-logits": (lambda: secl_loss(_unit(4, 8), _unit(4, 8), _unit(4, 8), _bank(), math.nan), NumericError),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_BATCHES))
+def test_bad_batch_raises_as_the_chain_did(name):
+    call, expected = _BAD_BATCHES[name]
+    with pytest.raises(expected) as info:
+        call()
+    assert type(info.value) is expected

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
+import json
 import math
+import typing
 import struct
 import tracemalloc
 from dataclasses import asdict
@@ -60,6 +62,30 @@ def tiny_train_config(**kw):
                     loss=LossConfig(tau=0.07, lambda_secl=1.0, bank_capacity=32))
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+_CONFIGS = (DataConfig, EncoderConfig, LocEncoderConfig, LossConfig, TrainConfig)
+_NUMBER_FIELDS = [(config, name) for config in _CONFIGS
+                  for name, kind in typing.get_type_hints(config).items() if kind in (int, float)]
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("config, name", _NUMBER_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in _NUMBER_FIELDS])
+    def test_bool_is_not_a_number(self, config, name):
+        """A JSON true or false in a manifest or checkpoint must not pass as 1 or 0."""
+        for value in (True, False):
+            with pytest.raises(TypeError, match=f"{name} must be"):
+                config(**{name: value})
+
+    @pytest.mark.parametrize("config, name", [
+        (TrainConfig, "base_lr"), (TrainConfig, "weight_decay"), (TrainConfig, "grad_clip"), (TrainConfig, "eps"),
+        (LossConfig, "tau"), (LocEncoderConfig, "sigma"), (LocEncoderConfig, "sigma_min"),
+        (DataConfig, "sigma_rs"), (DataConfig, "sigma_sv"), (DataConfig, "sigma_temporal"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    def test_non_finite_value_rejected(self, config, name):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=name if config is not LossConfig else "temperature"):
+                config(**{name: value})
 
 
 class TestSchedule:
@@ -297,8 +323,9 @@ class TestTrainStep:
         model = tiny_model()
         nodes, _ = self.recorded_step(model, monkeypatch)
         constants = [n for n in nodes if not n.requires_grad]
-        # The RS and SV patches, the RFF features and the bank snapshot.
-        assert len(constants) == 4
+        # The RS and SV patches and the RFF features; secl_loss reads the bank
+        # snapshot as a numpy array, so it is never a graph leaf.
+        assert len(constants) == 3
         assert all(not n._parents for n in constants)
         assert [n.grad for n in constants] == [None] * len(constants)
         params = {id(p) for p in model.parameters().values()}
@@ -586,6 +613,25 @@ class TestCheckpoint:
         _, _, _, _, path = self.run_short(tmp_path)
         edit_checkpoint_header(path, edit)
         with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    def test_boolean_config_value_is_format_error(self, tmp_path, edit_checkpoint_header):
+        """With config_hash recomputed after each edit, only the type check
+        can catch epochs true, which loaded as one epoch."""
+
+        def rehashed(edit):
+            def apply(header):
+                edit(header)
+                configs = {"model": header["model"], "train": header["train_config"]}
+                header["config_hash"] = hashlib.sha256(json.dumps(configs, sort_keys=True).encode()).hexdigest()[:16]
+
+            return apply
+
+        _, _, _, _, path = self.run_short(tmp_path)
+        edit_checkpoint_header(path, rehashed(lambda h: h["train_config"].update(grad_clip=1.0)))
+        assert load_checkpoint(path)["config"].grad_clip == 1.0
+        edit_checkpoint_header(path, rehashed(lambda h: h["train_config"].update(epochs=True)))
+        with pytest.raises(FormatError, match="epochs must be an integer"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("version", [1, 2])
